@@ -24,8 +24,10 @@ from .core import (
     Relation,
     Tolerance,
     entropy_bits,
+    first_violations,
     majorizes_check,
     padded_array,
+    product_spectra,
     tensor_spectrum,
 )
 from .errors import DegenerateTarget, DomainError, NotACatalyst
@@ -48,7 +50,9 @@ __all__ = [
     "mutual_demo_inequalities",
 ]
 
-_FEASIBLE = (Relation.MAJORIZED_BY, Relation.EQUIVALENT)
+# Largest grid accepted by mutual_region_scan; its memory grows with
+# resolution**2 (about 100 MB at resolution 2000).
+MAX_RESOLUTION = 4000
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ class RegionGrid:
 
 def locc_feasible(q: TransformQuery, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Deterministic LOCC convertibility psi -> phi (Nielsen's criterion)."""
-    return majorizes_check(q.psi, q.phi, tol).relation in _FEASIBLE
+    return majorizes_check(q.psi, q.phi, tol).feasible
 
 
 def is_general_catalyst(
@@ -128,12 +132,11 @@ def is_general_catalyst(
     therefore carries the separable witness; tighter residuals come from
     :func:`min_residual_2x2` or :func:`mutual_region_scan`.
     """
-    product = tensor_spectrum(q.psi, chi)
-    verdict = majorizes_check(product, q.phi, tol)
-    if verdict.relation not in _FEASIBLE:
-        return CatalystReport(feasible=False)
     witness = OscVector.separable(len(chi))
-    classification = classify_catalyst(q, chi, witness, tol)
+    try:
+        classification = classify_catalyst(q, chi, witness, tol)
+    except NotACatalyst:
+        return CatalystReport(feasible=False)
     return CatalystReport(feasible=True, classification=classification, residual=witness)
 
 
@@ -223,7 +226,7 @@ def subcatalyst_forced(
         raise DomainError("chi and chi' must both have length 2 or both length 3")
     lhs = tensor_spectrum(q.psi, chi)
     rhs = tensor_spectrum(q.phi, chi_prime)
-    if majorizes_check(lhs, rhs, tol).relation not in _FEASIBLE:
+    if not majorizes_check(lhs, rhs, tol).feasible:
         raise NotACatalyst("psi ⊗ chi does not convert to phi ⊗ chi'")
     n = q.dim
     a = padded_array(q.psi, n)
@@ -309,7 +312,7 @@ def classify_catalyst(
     """
     lhs = tensor_spectrum(q.psi, chi)
     rhs = tensor_spectrum(q.phi, chi_prime)
-    if majorizes_check(lhs, rhs, tol).relation not in _FEASIBLE:
+    if not majorizes_check(lhs, rhs, tol).feasible:
         raise NotACatalyst("psi ⊗ chi does not convert to phi ⊗ chi'")
     before = entropy_bits(chi)
     after = entropy_bits(chi_prime)
@@ -339,16 +342,15 @@ def mutual_region_scan(
     spectra is the ground truth; closed-form inequality systems such as
     :func:`mutual_demo_inequalities` are cross-checks for specific inputs.
 
-    Cells are evaluated in bulk with a batched sort, which yields bitwise
-    the same verdict as the per-cell merge path (equal product multisets
-    sort identically).
+    All valid cells form one batch of the spectrum kernel, so each verdict
+    is bitwise the one :func:`majorizes_check` gives for that cell.
+    ``resolution`` may not exceed :data:`MAX_RESOLUTION`.
     """
     if len(psi) != 3 or len(phi) != 3 or len(chi) != 3:
         raise DomainError("psi, phi and chi must all have length 3")
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
-    lhs = tensor_spectrum(psi, chi)
-    clhs = np.cumsum(lhs.as_array())
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise DomainError(f"resolution must lie in [1, {MAX_RESOLUTION}], got {resolution}")
+    lhs = product_spectra(psi.as_array(), chi.as_array())
 
     centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution
     x1 = centers[:, None]
@@ -362,11 +364,8 @@ def mutual_region_scan(
         residuals = np.stack(
             [centers[ii], centers[jj], 1.0 - centers[ii] - centers[jj]], axis=1
         )
-        phi_arr = phi.as_array()
-        prods = (residuals[:, None, :] * phi_arr[None, :, None]).reshape(ii.size, 9)
-        prods.sort(axis=1)
-        crhs = np.cumsum(prods[:, ::-1], axis=1)
-        cells[ii, jj] = np.all(clhs[None, :] <= crhs + tol.eps_major, axis=1)
+        rhs = product_spectra(phi.as_array(), residuals)
+        cells[ii, jj] = first_violations(lhs, rhs, tol.eps_major) == 0
     return RegionGrid(resolution=resolution, cells=cells, constraint_mask=valid)
 
 

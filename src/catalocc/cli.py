@@ -29,13 +29,12 @@ from .catalysis import (
 from .core import (
     CatalystClass,
     OscVector,
-    Relation,
     Tolerance,
     majorizes_check,
     make_osc,
     partial_sums,
 )
-from .errors import CataloccError
+from .errors import CataloccError, NotACatalyst
 from .experiments import (
     PairGenSpec,
     generate_catalyzable_pairs,
@@ -64,21 +63,6 @@ class RunSettings:
     seed: int
     out: Path
     threads: int
-
-
-@dataclass(frozen=True)
-class StateFile:
-    """One state as stored on disk: a display name and its coefficients.
-
-    The coefficient list must parse to a valid vector under ``make_osc``.
-    """
-
-    name: str
-    coeffs: tuple[float, ...]
-
-    @property
-    def vector(self) -> OscVector:
-        return make_osc(self.coeffs)
 
 
 @dataclass
@@ -111,9 +95,7 @@ def _load_state(path: str, tol: Tolerance) -> tuple[str, OscVector]:
         raw = json.loads(p.read_text(encoding="utf-8"))
         if not isinstance(raw, dict) or "coeffs" not in raw:
             raise CataloccError('expected a JSON object with a "coeffs" array')
-        vector = make_osc(raw["coeffs"], tol)
-        state = StateFile(str(raw.get("name", p.stem)), vector.coeffs)
-        return state.name, vector
+        return str(raw.get("name", p.stem)), make_osc(raw["coeffs"], tol)
     except (OSError, json.JSONDecodeError, ValueError, TypeError, CataloccError) as exc:
         _fail(f"{path}: {exc}")
         raise  # unreachable; keeps type checkers honest
@@ -180,17 +162,16 @@ def check(settings: RunSettings, psi_file: str, phi_file: str) -> None:
     psi_name, psi = _load_state(psi_file, settings.tol)
     phi_name, phi = _load_state(phi_file, settings.tol)
     verdict = majorizes_check(psi, phi, settings.tol)
-    feasible = verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUIVALENT)
     click.echo(json.dumps({
         "psi": psi_name,
         "phi": phi_name,
         "relation": verdict.relation.value,
         "first_violation": verdict.first_violation,
-        "feasible": feasible,
+        "feasible": verdict.feasible,
         "psi_partial_sums": list(partial_sums(psi)),
         "phi_partial_sums": list(partial_sums(phi)),
     }))
-    sys.exit(EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE)
+    sys.exit(EXIT_FEASIBLE if verdict.feasible else EXIT_INFEASIBLE)
 
 
 @main.command()
@@ -220,12 +201,11 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
                 report = is_general_catalyst(query, chi, tol)
                 feasible, residual, cls = report.feasible, report.residual, report.classification
             else:
-                lhs = majorizes_check(
-                    _product(query.psi, chi), _product(query.phi, chi), tol
-                )
-                feasible = lhs.relation in (Relation.MAJORIZED_BY, Relation.EQUIVALENT)
-                residual = chi if feasible else None
-                cls = classify_catalyst(query, chi, chi, tol) if feasible else None
+                try:
+                    cls = classify_catalyst(query, chi, chi, tol)
+                    feasible, residual = True, chi
+                except NotACatalyst:
+                    feasible, residual, cls = False, None, None
             click.echo(json.dumps({
                 "mode": mode,
                 "feasible": feasible,
@@ -253,12 +233,6 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
         sys.exit(EXIT_FEASIBLE if success else EXIT_INFEASIBLE)
     except CataloccError as exc:
         _fail(str(exc))
-
-
-def _product(a: OscVector, b: OscVector) -> OscVector:
-    from .core import tensor_spectrum
-
-    return tensor_spectrum(a, b)
 
 
 @main.command()

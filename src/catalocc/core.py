@@ -6,11 +6,16 @@ vector).  Nielsen's criterion then reduces every deterministic LOCC
 convertibility question to partial-sum comparisons, which is what this
 module provides: construction/validation, padding, majorization verdicts,
 tensor-product spectra, and entanglement entropy.
+
+Every such question runs through one batched kernel:
+:func:`product_spectra` sorts product spectra and :func:`first_violations`
+compares partial sums, so ``eps_major`` means the same on every path.  The
+scalar predicates are its batch-of-one case; the plain-Python re-check of
+emitted certificates in :mod:`catalocc.search` stays apart on purpose.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -129,6 +134,11 @@ class MajorizationVerdict:
     relation: Relation
     first_violation: int | None = None
 
+    @property
+    def feasible(self) -> bool:
+        """a ≺ b holds: the state with spectrum a converts to the one with b."""
+        return self.first_violation is None
+
 
 @dataclass(frozen=True)
 class CatalystClass:
@@ -157,18 +167,27 @@ def make_osc(raw: Iterable[float], tol: Tolerance = DEFAULT_TOL) -> OscVector:
     Entries within ``-tol.eps_norm`` of zero are clamped to zero so that
     user-supplied decimals survive round-trips; anything more negative
     raises :class:`NegativeEntry`.  The sum must be 1 within ``tol.eps_norm``
-    or :class:`NotNormalized` is raised.  Trailing zeros are kept: length is
-    part of the representation (see :func:`pad`).
+    or :class:`NotNormalized` is raised; NaN and infinite entries fail this
+    test.  Booleans and strings raise ``ValueError`` rather than being read
+    as numbers.  Trailing zeros are kept: length is part of the
+    representation (see :func:`pad`).
     """
-    values = [float(v) for v in raw]
+    items = list(raw)
+    for kind in set(map(type, items)):
+        if issubclass(kind, (str, bytes, bool, np.bool_)):
+            raise ValueError(f"coefficients must be numbers, not {kind.__name__}")
+    values = [float(v) for v in items]
     if not values:
         raise ValueError("coefficient sequence must be nonempty")
     for i, v in enumerate(values):
         if v < -tol.eps_norm:
             raise NegativeEntry(f"coefficient {i} is {v!r}, below -{tol.eps_norm}")
     clamped = [0.0 if v < 0.0 else v for v in values]
-    total = math.fsum(clamped)
-    if abs(total - 1.0) > tol.eps_norm:
+    try:
+        total = math.fsum(clamped)
+    except OverflowError:  # finite entries whose sum leaves the float range
+        total = math.inf
+    if not abs(total - 1.0) <= tol.eps_norm:  # also true for a NaN sum
         raise NotNormalized(f"coefficients sum to {total!r}, not 1 within {tol.eps_norm}")
     clamped.sort(reverse=True)
     return OscVector(tuple(clamped))
@@ -195,10 +214,38 @@ def padded_array(v: OscVector, n: int) -> np.ndarray:
     return arr
 
 
-def _first_prefix_violation(ca: np.ndarray, cb: np.ndarray, eps: float) -> int | None:
-    """Smallest 1-based l with ca[l-1] > cb[l-1] + eps, or None."""
-    bad = np.flatnonzero(ca > cb + eps)
-    return int(bad[0]) + 1 if bad.size else None
+def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise tensor-product spectra of two batches of states.
+
+    ``a`` is (B, n) and ``b`` is (B, k); either may be a single 1-D state,
+    broadcast over the batch.  Returns the (B, n*k) array whose row i holds
+    every product a[i, p] * b[i, q], sorted nonincreasing.
+    """
+    a = a.reshape(-1, a.shape[-1])
+    b = b.reshape(-1, b.shape[-1])
+    # Negated products sort ascending into contiguous descending rows, which
+    # keeps the later cumulative sums off a reversed view.  Negation is exact.
+    prods = np.multiply(-a[:, :, None], b[:, None, :])
+    prods = prods.reshape(prods.shape[0], -1)
+    prods.sort(axis=1)
+    np.negative(prods, out=prods)
+    return prods
+
+
+def first_violations(lhs: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise Nielsen comparison of nonincreasing spectra of equal width.
+
+    ``lhs`` and ``rhs`` are (B, m) batches; either may be a single 1-D row,
+    broadcast over the batch.  Returns an int array with, per row, the
+    smallest 1-based prefix length l with sum(lhs[:l]) > sum(rhs[:l]) + eps,
+    or 0 where lhs ≺ rhs holds.
+    """
+    # The ufunc methods are np.cumsum and np.any without their per-call
+    # wrapper cost, which dominates single-query calls.
+    bad = np.add.accumulate(lhs, axis=-1) > np.add.accumulate(rhs, axis=-1) + eps
+    first = bad.argmax(axis=-1) + 1
+    first *= np.logical_or.reduce(bad, axis=-1)
+    return first
 
 
 def majorizes_check(a: OscVector, b: OscVector, tol: Tolerance = DEFAULT_TOL) -> MajorizationVerdict:
@@ -209,33 +256,20 @@ def majorizes_check(a: OscVector, b: OscVector, tol: Tolerance = DEFAULT_TOL) ->
     MAJORIZED_BY or EQUIVALENT) means the state with spectrum ``a`` converts
     deterministically to the one with spectrum ``b`` under LOCC.
     """
-    n = max(len(a), len(b))
-    ca = np.cumsum(padded_array(a, n))
-    cb = np.cumsum(padded_array(b, n))
-    fwd = _first_prefix_violation(ca, cb, tol.eps_major)
-    rev = _first_prefix_violation(cb, ca, tol.eps_major)
-    if fwd is None:
-        relation = Relation.EQUIVALENT if rev is None else Relation.MAJORIZED_BY
+    pair = np.zeros((2, max(len(a), len(b))), dtype=np.float64)
+    pair[0, : len(a)] = a.coeffs
+    pair[1, : len(b)] = b.coeffs
+    fwd, rev = first_violations(pair, pair[::-1], tol.eps_major).tolist()
+    if not fwd:
+        relation = Relation.EQUIVALENT if not rev else Relation.MAJORIZED_BY
     else:
-        relation = Relation.INCOMPARABLE if rev is not None else Relation.MAJORIZES
-    return MajorizationVerdict(relation, fwd)
+        relation = Relation.INCOMPARABLE if rev else Relation.MAJORIZES
+    return MajorizationVerdict(relation, fwd or None)
 
 
 def tensor_spectrum(a: OscVector, b: OscVector) -> OscVector:
-    """Spectrum of the tensor product: all pairwise products, sorted nonincreasing.
-
-    Each scaled row ``a[i] * b`` is already sorted, so the result is a k-way
-    merge over the smaller number of streams rather than a full sort:
-    O(len(a) * len(b) * log min(len(a), len(b))) comparisons.  A naive sort of
-    the outer product produces the identical sequence and serves as the test
-    oracle.
-    """
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    big_arr = big.as_array()
-    rows = [(s * big_arr).tolist() for s in small.coeffs]
-    if len(rows) == 1:
-        return OscVector(tuple(rows[0]))
-    return OscVector(tuple(heapq.merge(*rows, reverse=True)))
+    """Spectrum of the tensor product: all pairwise products, sorted nonincreasing."""
+    return OscVector(tuple(product_spectra(a.as_array(), b.as_array())[0].tolist()))
 
 
 def entropy_bits(v: OscVector) -> float:

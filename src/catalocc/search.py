@@ -3,11 +3,12 @@
 The standard-catalyst question (does some chi satisfy
 psi ⊗ chi ≺ phi ⊗ chi?) has no known closed form, so it is attacked by
 Monte Carlo: draw chi uniformly from the ordered probability simplex,
-merge the product spectra, test the prefix inequalities, repeat up to a
-trial budget.  Success is certified (the catalyst is re-verified through
-the merge path); failure is one-sided evidence only.  The general-catalyst
-question, by contrast, is decided exactly with a maximally entangled
-ancilla.
+form the product spectra, test the prefix inequalities, repeat up to a
+trial budget.  Candidates are evaluated in batches by the spectrum kernel
+in :mod:`catalocc.core`.  Success is certified (the catalyst is re-checked
+by a plain-Python prefix loop that shares no code with that kernel);
+failure is one-sided evidence only.  The general-catalyst question, by
+contrast, is decided exactly with a maximally entangled ancilla.
 
 Determinism contract: a search outcome depends only on
 (seed, k, big_number, query).  Trials are indexed 0..M-1; candidate i
@@ -20,9 +21,11 @@ at budget M implies success at every larger budget.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -31,11 +34,10 @@ from .catalysis import TransformQuery, locc_feasible
 from .core import (
     DEFAULT_TOL,
     OscVector,
-    Relation,
     Tolerance,
-    majorizes_check,
+    first_violations,
     padded_array,
-    tensor_spectrum,
+    product_spectra,
 )
 from .errors import DomainError
 from .rng import CTX_TRIALS, substream
@@ -58,8 +60,6 @@ TRIAL_BLOCK = 4096
 # Rows per evaluation batch are capped so the working set stays cache-sized;
 # this affects speed only, never verdicts.
 _EVAL_CHUNK_ELEMS = 1 << 16
-
-_FEASIBLE = (Relation.MAJORIZED_BY, Relation.EQUIVALENT)
 
 
 class SearchStatus(Enum):
@@ -110,35 +110,22 @@ def sample_sorted_simplex(k: int, rng: np.random.Generator) -> OscVector:
 
 
 def _sorted_simplex_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
-    u = rng.random((rows, k))
-    e = -np.log1p(-u)
+    return _simplex_points(-np.log1p(-rng.random((rows, k))))
+
+
+def _simplex_points(e: np.ndarray) -> np.ndarray:
+    """Rows of unit exponentials, normalized and sorted nonincreasing.
+
+    Rows summing to zero (every uniform hit 0.0) become the flat point.
+    """
     s = e.sum(axis=1)
     zero = s <= 0.0
-    if zero.any():  # every uniform hit 0.0; fall back to the flat point
+    if zero.any():
         e[zero] = 1.0
         s = e.sum(axis=1)
     x = e / s[:, None]
     x.sort(axis=1)
     return x[:, ::-1]
-
-
-def _assisted_rows_ok(
-    src: np.ndarray, dst: np.ndarray, chis: np.ndarray, eps: float
-) -> np.ndarray:
-    """Row-wise test of spectrum(src_i ⊗ chi_i) ≺ spectrum(dst_i ⊗ chi_i).
-
-    ``src`` and ``dst`` are (B, n) state batches (broadcast a single state
-    with np.broadcast_to); ``chis`` is (B, k).  Sorting the product batch
-    gives exactly the merge-path spectra, so verdicts are bit-identical.
-    """
-    nrows = chis.shape[0]
-    lhs = (src[:, :, None] * chis[:, None, :]).reshape(nrows, -1)
-    lhs.sort(axis=1)
-    clhs = np.cumsum(lhs[:, ::-1], axis=1)
-    rhs = (dst[:, :, None] * chis[:, None, :]).reshape(nrows, -1)
-    rhs.sort(axis=1)
-    crhs = np.cumsum(rhs[:, ::-1], axis=1)
-    return (clhs <= crhs + eps).all(axis=1)
 
 
 def _first_feasible_row(
@@ -149,20 +136,39 @@ def _first_feasible_row(
     chunk = max(64, _EVAL_CHUNK_ELEMS // (n * chis.shape[1]))
     for off in range(0, chis.shape[0], chunk):
         part = chis[off : off + chunk]
-        src = np.broadcast_to(psi, (part.shape[0], n))
-        dst = np.broadcast_to(phi, (part.shape[0], n))
-        ok = _assisted_rows_ok(src, dst, part, eps)
-        hits = np.flatnonzero(ok)
+        first = first_violations(product_spectra(psi, part), product_spectra(phi, part), eps)
+        hits = np.flatnonzero(first == 0)
         if hits.size:
             return off + int(hits[0])
     return None
 
 
-def _verify_standard(q: TransformQuery, chi: OscVector, tol: Tolerance) -> None:
-    """Re-verify a found catalyst through the canonical merge path."""
-    verdict = majorizes_check(tensor_spectrum(q.psi, chi), tensor_spectrum(q.phi, chi), tol)
-    if verdict.relation not in _FEASIBLE:
-        raise RuntimeError("internal: batched verdict disagrees with the merge path")
+def _scalar_leq(psi, phi, chi, eps: float) -> bool:
+    """psi ⊗ chi ≺ phi ⊗ chi by full sorts and a plain-Python prefix loop.
+
+    The one runtime re-check of emitted certificates.  It shares no code
+    with the array kernel in :mod:`catalocc.core`, so a fault there cannot
+    certify itself; with identical products, sort order and summation order
+    it reproduces the kernel's verdict bit for bit.  ``chi = (1.0,)`` gives
+    the direct test psi ≺ phi; unequal lengths are zero-padded.
+    """
+    lhs = sorted((x * c for x in psi for c in chi), reverse=True)
+    rhs = sorted((y * c for y in phi for c in chi), reverse=True)
+    sa = sb = 0.0
+    for x, y in zip_longest(lhs, rhs, fillvalue=0.0):
+        sa += x
+        sb += y
+        if sa > sb + eps:
+            return False
+    return True
+
+
+def _certified(q: TransformQuery, row: np.ndarray, eps: float) -> OscVector:
+    """The kernel's accepted candidate, after the scalar re-check."""
+    catalyst = OscVector(tuple(float(v) for v in row))
+    if not _scalar_leq(q.psi, q.phi, catalyst, eps):
+        raise RuntimeError("internal: kernel verdict fails the scalar re-check")
+    return catalyst
 
 
 def general_catalyst_exists(q: TransformQuery, k: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -200,12 +206,13 @@ def monte_carlo_standard_catalyst(
 
     Draws up to ``cfg.big_number`` candidates from the sorted flat-Dirichlet
     distribution and returns the first chi with
-    psi ⊗ chi ≺ phi ⊗ chi, re-verified through the merge path.  FAILURE
+    psi ⊗ chi ≺ phi ⊗ chi, re-checked by a scalar prefix loop.  FAILURE
     after the full budget is evidence, not proof: the algorithm has a
     one-sided false-negative probability that shrinks as the budget grows.
 
-    ``workers`` > 1 evaluates trial blocks on a thread pool; the outcome is
-    identical to the sequential run by the lowest-index rule.
+    ``workers`` > 1 evaluates trial blocks on a thread pool of at most
+    min(workers, CPU count, blocks) threads; the outcome is identical to the
+    sequential run by the lowest-index rule.
     """
     tol = cfg.tol
     if locc_feasible(q, tol):
@@ -226,7 +233,8 @@ def monte_carlo_standard_catalyst(
         return start + hit, chis[hit].copy()
 
     found: Optional[tuple[int, np.ndarray]] = None
-    if workers <= 1 or nblocks == 1:
+    workers = min(workers, os.cpu_count() or 1, nblocks)
+    if workers <= 1:
         for block in range(nblocks):
             found = scan_block(block)
             if found is not None:
@@ -246,27 +254,8 @@ def monte_carlo_standard_catalyst(
     if found is None:
         return SearchOutcome(SearchStatus.FAILURE, None, big_m, cfg.seed)
     index, row = found
-    catalyst = OscVector(tuple(float(v) for v in row))
-    _verify_standard(q, catalyst, tol)
+    catalyst = _certified(q, row, tol.eps_major)
     return SearchOutcome(SearchStatus.SUCCESS, catalyst, index + 1, cfg.seed)
-
-
-def _scan_candidates(
-    q: TransformQuery,
-    batches,
-    tol: Tolerance,
-) -> Optional[OscVector]:
-    """Evaluate candidate batches in order; return the first verified hit."""
-    n = q.dim
-    psi = padded_array(q.psi, n)
-    phi = padded_array(q.phi, n)
-    for batch in batches():
-        hit = _first_feasible_row(psi, phi, batch, tol.eps_major)
-        if hit is not None:
-            catalyst = OscVector(tuple(float(v) for v in batch[hit]))
-            _verify_standard(q, catalyst, tol)
-            return catalyst
-    return None
 
 
 def exhaustive_catalyst_oracle(
@@ -309,4 +298,10 @@ def exhaustive_catalyst_oracle(
                 x3 = np.maximum(1.0 - x1 - x2, 0.0)
                 yield np.stack([np.full_like(x2, x1), x2, x3], axis=1)
 
-    return _scan_candidates(q, batches, tol)
+    psi = padded_array(q.psi, q.dim)
+    phi = padded_array(q.phi, q.dim)
+    for batch in batches():
+        hit = _first_feasible_row(psi, phi, batch, tol.eps_major)
+        if hit is not None:
+            return _certified(q, batch[hit], tol.eps_major)
+    return None

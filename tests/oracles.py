@@ -1,6 +1,6 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the library's merge-based fast paths:
+Everything here deliberately avoids the library's batched spectrum kernel:
 spectra come from naive full sorts of the outer product, majorization from
 a plain Python prefix-sum loop, minimal residuals from bisection on the
 direct predicate, and small feasibility questions from grid enumeration.
@@ -16,7 +16,7 @@ from catalocc import OscVector, TransformQuery
 
 
 def naive_tensor_spectrum(a, b) -> list[float]:
-    """All pairwise products, fully sorted; the merge path's ground truth."""
+    """All pairwise products, fully sorted; the kernel's ground truth."""
     prods = [x * y for x in a for y in b]
     prods.sort(reverse=True)
     return prods

@@ -27,6 +27,7 @@ from catalocc import (
     subcatalyst_forced,
     tensor_spectrum,
 )
+from catalocc.catalysis import MAX_RESOLUTION
 from catalocc.experiments import (
     JP_CATALYST,
     JP_CONSUMED_RESIDUAL,
@@ -401,6 +402,13 @@ class TestMutualRegionScan:
     def test_wrong_shapes(self):
         with pytest.raises(DomainError):
             mutual_region_scan(JP_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 10)
+
+    def test_resolution_cap(self):
+        # rejected before any grid is allocated
+        with pytest.raises(DomainError, match="resolution"):
+            mutual_region_scan(
+                MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, MAX_RESOLUTION + 1
+            )
 
 
 class TestMutualDemoInequalities:

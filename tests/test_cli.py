@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from catalocc.catalysis import MAX_RESOLUTION
 from catalocc.cli import main
 
 
@@ -69,6 +70,17 @@ class TestCheck:
         assert result.exit_code == 2
         assert "coefficient 1" in result.output
         assert "-0.2" in result.output
+
+    @pytest.mark.parametrize(
+        "coeffs", ["[NaN, 0.6, 0.4]", "[Infinity, 0.0]", "[1e308, 1e308]", '"1"', "[true]"]
+    )
+    def test_non_finite_or_non_numeric_file_rejected(self, runner, tmp_path, coeffs):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"coeffs": {coeffs}}}')
+        ok = write_state(tmp_path, "ok", (1.0,))
+        result = runner.invoke(main, ["check", str(bad), ok])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
 
     def test_state_round_trip_is_exact(self, tmp_path):
         import numpy as np
@@ -182,6 +194,15 @@ class TestRegion:
         chi = write_state(tmp_path, "chi", (0.62, 0.3, 0.08))
         result = runner.invoke(main, ["region", psi, phi, chi])
         assert result.exit_code == 2
+
+    def test_resolution_cap(self, runner, tmp_path):
+        psi = write_state(tmp_path, "psi", (0.5, 0.26, 0.24))
+        phi = write_state(tmp_path, "phi", (0.49, 0.48, 0.03))
+        chi = write_state(tmp_path, "chi", (0.62, 0.3, 0.08))
+        too_fine = str(MAX_RESOLUTION + 1)
+        result = runner.invoke(main, ["region", psi, phi, chi, "--resolution", too_fine])
+        assert result.exit_code == 2
+        assert "resolution" in result.output
 
 
 class TestGenpairsAndCurve:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from catalocc import (
     DEFAULT_TOL,
+    CataloccError,
     NegativeEntry,
     NotNormalized,
     OscVector,
@@ -22,7 +23,15 @@ from catalocc import (
     partial_sums,
     tensor_spectrum,
 )
-from oracles import entropy_base2, majorized_mix, naive_tensor_spectrum, random_osc
+from catalocc.core import first_violations, product_spectra
+from catalocc.experiments import TR_CATALYST, TR_RESIDUAL, TR_SOURCE, TR_TARGET
+from oracles import (
+    assisted_feasible,
+    entropy_base2,
+    majorized_mix,
+    naive_tensor_spectrum,
+    random_osc,
+)
 
 
 @st.composite
@@ -63,6 +72,24 @@ class TestMakeOsc:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             make_osc(())
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [math.nan, 1.0],
+            [0.6, 0.4, math.nan],
+            [math.inf, 0.0],
+            [-math.inf, 1.0],
+            [1e308, 1e308],
+            "1",
+            [True],
+            [np.bool_(True), 0.0],
+            [0.5, "0.5"],
+        ],
+    )
+    def test_rejects_non_finite_and_non_numeric(self, raw):
+        with pytest.raises((ValueError, CataloccError)):
+            make_osc(raw)
 
     def test_custom_norm_tolerance(self):
         loose = Tolerance(eps_norm=1e-4)
@@ -164,13 +191,82 @@ class TestTensorSpectrum:
             na, nb = rng.integers(1, 65, size=2)
             a = random_osc(rng, int(na))
             b = random_osc(rng, int(nb))
-            merged = tensor_spectrum(a, b).coeffs
-            assert list(merged) == naive_tensor_spectrum(a, b)
+            got = tensor_spectrum(a, b).coeffs
+            assert list(got) == naive_tensor_spectrum(a, b)
 
     @given(osc_vectors(max_len=5), osc_vectors(max_len=5))
     @settings(max_examples=150, deadline=None)
     def test_merge_equals_sort_property(self, a, b):
         assert list(tensor_spectrum(a, b).coeffs) == naive_tensor_spectrum(a, b)
+
+
+def osc_rows(rng, rows, n, width=None):
+    """A (rows, width) batch of random spectra of length n, zero-padded."""
+    out = np.zeros((rows, width or n))
+    for i in range(rows):
+        out[i, :n] = random_osc(rng, n).coeffs
+    return out
+
+
+def kernel_leq(psi, phi, chi, chi_prime):
+    """Row verdicts of psi ⊗ chi ≺ phi ⊗ chi' from the batched kernel."""
+    lhs = product_spectra(psi, chi)
+    rhs = product_spectra(phi, chi_prime)
+    return (first_violations(lhs, rhs, DEFAULT_TOL.eps_major) == 0).tolist()
+
+
+class TestSpectrumKernel:
+    def test_random_batches_match_oracle(self):
+        rng = np.random.default_rng(211)
+        for n, k in ((2, 2), (3, 2), (4, 3), (6, 4)):
+            psi, phi = osc_rows(rng, 300, n), osc_rows(rng, 300, n)
+            chi, chi_prime = osc_rows(rng, 300, k), osc_rows(rng, 300, k)
+            for residual in (chi, chi_prime):
+                got = kernel_leq(psi, phi, chi, residual)
+                want = [assisted_feasible(*rows) for rows in zip(psi, phi, chi, residual)]
+                assert got == want
+                assert True in want and False in want
+            spectra = product_spectra(psi, chi)
+            for i in range(0, 300, 37):
+                assert spectra[i].tolist() == naive_tensor_spectrum(psi[i], chi[i])
+
+    def test_broadcast_single_state(self):
+        rng = np.random.default_rng(223)
+        psi = np.array((0.4, 0.4, 0.1, 0.1))
+        phi = np.array((0.5, 0.25, 0.25, 0.0))
+        chis = osc_rows(rng, 2000, 2)
+        got = kernel_leq(psi, phi, chis, chis)
+        assert got == [assisted_feasible(psi, phi, c, c) for c in chis]
+        assert True in got and False in got
+
+    def test_zero_padding(self):
+        # 3-dim states padded to 5 against genuinely 5-dim targets; the
+        # oracle pads nothing, so padding must not change any verdict
+        rng = np.random.default_rng(227)
+        psi, phi, chi = osc_rows(rng, 400, 3, width=5), osc_rows(rng, 400, 5), osc_rows(rng, 400, 2)
+        seen = []
+        for src, dst in ((psi, phi), (phi, psi)):
+            want = [
+                assisted_feasible(s[s > 0], d[d > 0], c, c) for s, d, c in zip(src, dst, chi)
+            ]
+            assert kernel_leq(src, dst, chi, chi) == want
+            seen += want
+        assert True in seen and False in seen
+
+    def test_time_reverse_exact_ties(self):
+        spectra = [
+            product_spectra(TR_SOURCE.as_array(), TR_CATALYST.as_array()),
+            product_spectra(TR_TARGET.as_array(), TR_RESIDUAL.as_array()),
+        ]
+        assert spectra[0].tolist() == spectra[1].tolist()
+        for lhs, rhs in (spectra, spectra[::-1]):
+            assert first_violations(lhs, rhs, DEFAULT_TOL.eps_major).tolist() == [0]
+        assert assisted_feasible(TR_SOURCE, TR_TARGET, TR_CATALYST, TR_RESIDUAL)
+        assert assisted_feasible(TR_TARGET, TR_SOURCE, TR_RESIDUAL, TR_CATALYST)
+
+    def test_first_violation_index(self):
+        jp = np.array([[0.4, 0.4, 0.1, 0.1], [0.5, 0.25, 0.25, 0.0]])
+        assert first_violations(jp, jp[::-1], 1e-12).tolist() == [2, 1]
 
 
 class TestEntropyBits:

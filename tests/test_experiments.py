@@ -1,13 +1,18 @@
 """Tests for pair generation, the success curve, IO formats, and the fixture suite."""
 
+import json
+
+import numpy as np
 import pytest
 
 from catalocc import (
+    DomainError,
     GenerationExhausted,
     Relation,
     majorizes_check,
     tensor_spectrum,
 )
+from catalocc import experiments
 from catalocc.catalysis import locc_feasible
 from catalocc.experiments import (
     CurvePoint,
@@ -69,6 +74,19 @@ class TestGeneratePairs:
         with pytest.raises(GenerationExhausted):
             generate_catalyzable_pairs(spec)
 
+    def test_scalar_recheck_catches_a_bad_kernel_verdict(self, monkeypatch):
+        # accept every assisted row (width n*k = 18) while the direct test
+        # (width n = 6) stays real: no wrong pair may be emitted
+        real = experiments.first_violations
+
+        def accept_assisted(lhs, rhs, eps):
+            first = real(lhs, rhs, eps)
+            return np.zeros_like(first) if lhs.shape[1] == 18 else first
+
+        monkeypatch.setattr(experiments, "first_violations", accept_assisted)
+        with pytest.raises(DomainError):
+            generate_catalyzable_pairs(small_spec())
+
 
 class TestSuccessCurve:
     def test_monotone_and_reasonable(self):
@@ -107,6 +125,14 @@ class TestSuccessCurve:
         with pytest.raises(ValueError):
             success_probability_curve([], 3, (1,), seed=1)
 
+    def test_thread_pool_is_clamped(self, pool_sizes):
+        pairs = generate_catalyzable_pairs(small_spec(seed=37, count=3))
+        seen = pool_sizes(experiments, cpus=64)
+        success_probability_curve(pairs, 3, (10,), seed=37, workers=1000)
+        pool_sizes(experiments, cpus=2)
+        success_probability_curve(pairs, 3, (10,), seed=37, workers=1000)
+        assert seen == [3, 2]  # min(workers, CPUs, pairs)
+
 
 class TestReferenceSuite:
     def test_all_fixtures_pass(self):
@@ -137,14 +163,29 @@ class TestPairArchive:
 
     def test_load_rejects_tampered_pair(self, tmp_path):
         pairs = generate_catalyzable_pairs(small_spec(seed=31, count=3))
+        good = write_pairs_jsonl(tmp_path / "good.jsonl", pairs, seed=31)
+        good_lines = good.read_text().splitlines()
+        record = json.loads(good_lines[1])
         # swap psi and phi: the direct transformation becomes feasible or the
         # witness stops certifying; either way the certificate must fail
-        broken = [(type(q)(q.phi, q.psi), w) for q, w in pairs]
-        path = write_pairs_jsonl(tmp_path / "broken.jsonl", broken, seed=31)
-        from catalocc import DomainError
-
-        with pytest.raises(DomainError):
-            load_pairs_jsonl(path)
+        swapped = dict(record, psi=record["phi"], phi=record["psi"])
+        cases = {
+            "swapped": json.dumps(swapped),
+            "json": good_lines[1][:-1],
+            "unnormalized": json.dumps(dict(record, psi=[0.5, 0.6])),
+            "negative": json.dumps(dict(record, witness=[1.2, -0.2])),
+            "non-numeric": json.dumps(dict(record, phi=["a", 1.0])),
+            "nan": json.dumps(dict(record, psi=[float("nan"), 1.0])),
+            "wrong-type": json.dumps(dict(record, witness=None)),
+            "missing-key": json.dumps({"psi": record["psi"]}),
+            "not-an-object": "[1, 2]",
+        }
+        for name, bad in cases.items():
+            text = "\n".join([good_lines[0], bad, good_lines[2]]) + "\n"
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(text)
+            with pytest.raises(DomainError, match=f"{name}.jsonl:2: invalid pair record"):
+                load_pairs_jsonl(path)
 
 
 class TestCurveCsv:

@@ -18,6 +18,7 @@ from catalocc import (
     sample_sorted_simplex,
     tensor_spectrum,
 )
+from catalocc import search
 from catalocc.experiments import JP_SOURCE, JP_TARGET, JP_TARGET_SHIFTED
 from catalocc.rng import CTX_TRIALS, substream
 from catalocc.search import TRIAL_BLOCK, _sorted_simplex_rows
@@ -184,6 +185,28 @@ class TestMonteCarlo:
             SearchConfig(k=0, big_number=10, seed=1)
         with pytest.raises(ValueError):
             SearchConfig(k=2, big_number=0, seed=1)
+
+    def test_thread_pool_is_clamped(self, pool_sizes):
+        seen = pool_sizes(search, cpus=3)
+        for blocks in (5, 2):
+            cfg = SearchConfig(k=2, big_number=blocks * TRIAL_BLOCK, seed=7)
+            outcome = monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=1000)
+            assert outcome.status is SearchStatus.FAILURE
+        assert seen == [3, 2]  # min(workers, CPUs, blocks)
+
+    def test_unknown_cpu_count_runs_sequentially(self, pool_sizes):
+        seen = pool_sizes(search, cpus=None)
+        cfg = SearchConfig(k=2, big_number=3 * TRIAL_BLOCK, seed=7)
+        monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=8)
+        assert seen == []
+
+    def test_scalar_recheck_catches_a_bad_kernel_verdict(self, monkeypatch):
+        # a kernel that accepts every row must not yield a certificate
+        monkeypatch.setattr(
+            search, "first_violations", lambda lhs, rhs, eps: np.zeros(len(rhs), dtype=int)
+        )
+        with pytest.raises(RuntimeError):
+            monte_carlo_standard_catalyst(NO_GO_2X2, SearchConfig(k=2, big_number=10, seed=1))
 
 
 class TestExhaustiveOracle:
