@@ -140,7 +140,7 @@ def _classification_json(cls: CatalystClass | None, tol: Tolerance) -> dict | No
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=Path("."),
               help="Directory for generated files.  [default: .]")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads; affects speed only, never results.")
+              help="Threads per Monte Carlo search (budgets above 4096); never changes results.")
 @click.pass_context
 def main(ctx: click.Context, tol_major: float, tol_norm: float, seed: int,
          out: Path, threads: int) -> None:
@@ -150,7 +150,7 @@ def main(ctx: click.Context, tol_major: float, tol_norm: float, seed: int,
     except ValueError as exc:
         _fail(str(exc))
     out.mkdir(parents=True, exist_ok=True)
-    ctx.obj = RunSettings(tol=tol, seed=seed, out=out, threads=max(1, threads))
+    ctx.obj = RunSettings(tol=tol, seed=seed, out=out, threads=threads)
 
 
 @main.command()

@@ -10,8 +10,6 @@ mutual-catalysis instance behind the region scan.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -228,9 +226,10 @@ def success_probability_curve(
 
     Each pair gets its own derived trial stream and is searched once with
     the largest budget; smaller budgets reuse the prefix of the same stream,
-    so the curve is nondecreasing in M by construction.  ``workers`` > 1
-    searches pairs on a pool of at most min(workers, CPU count, pairs)
-    threads; the points do not depend on it.
+    so the curve is nondecreasing in M by construction.  Pairs are searched
+    one after another; ``workers`` is passed to each search, so it splits
+    the trial blocks of budgets above TRIAL_BLOCK and never changes the
+    points.
     """
     queries = [p[0] if isinstance(p, tuple) else p for p in pairs]
     ms = [int(m) for m in m_values]
@@ -238,17 +237,11 @@ def success_probability_curve(
         raise ValueError("need at least one pair and positive trial budgets")
     m_max = max(ms)
 
-    def first_success(i: int) -> int | None:
+    results = []
+    for i, query in enumerate(queries):
         cfg = SearchConfig(k=k, big_number=m_max, seed=derive_seed(seed, CTX_CURVE, i), tol=tol)
-        outcome = monte_carlo_standard_catalyst(queries[i], cfg)
-        return outcome.trials_used if outcome.status is SearchStatus.SUCCESS else None
-
-    workers = min(workers, os.cpu_count() or 1, len(queries))
-    if workers <= 1:
-        results = [first_success(i) for i in range(len(queries))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(first_success, range(len(queries))))
+        outcome = monte_carlo_standard_catalyst(query, cfg, workers)
+        results.append(outcome.trials_used if outcome.status is SearchStatus.SUCCESS else None)
 
     points = []
     for m in ms:
@@ -488,15 +481,20 @@ def write_curve_csv(path: str | Path, points: Iterable[CurvePoint]) -> Path:
 
 
 def write_region_csv(path: str | Path, grid: RegionGrid) -> Path:
+    """One row per cell: centre coordinates, then the valid and feasible flags.
+
+    Both axes share the ``resolution`` cell-centre strings, and each cell's
+    flags are looked up from 2 * valid + feasible, so no float is formatted
+    per cell.
+    """
     path = Path(path)
     res = grid.resolution
+    centres = [repr((i + 0.5) / res) for i in range(res)]
+    flags = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
+    codes = 2 * grid.constraint_mask.astype(np.int8) + grid.cells
     with path.open("w", encoding="utf-8") as fh:
         fh.write("x1p,x2p,valid,feasible\n")
-        for i in range(res):
-            x1 = (i + 0.5) / res
-            valid_row = grid.constraint_mask[i]
-            cell_row = grid.cells[i]
-            for j in range(res):
-                x2 = (j + 0.5) / res
-                fh.write(f"{x1!r},{x2!r},{int(valid_row[j])},{int(cell_row[j])}\n")
+        for x1, row in zip(centres, codes):
+            prefix = x1 + ","
+            fh.write("".join([prefix + x2 + flags[c] for x2, c in zip(centres, row.tolist())]))
     return path

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -175,28 +176,18 @@ def general_catalyst_exists(q: TransformQuery, k: int, tol: Tolerance = DEFAULT_
     """Decide whether *any* k x k general catalyst exists for psi -> phi.
 
     It suffices to test a maximally entangled ancilla with complete
-    consumption: psi ⊗ (1/k, ..., 1/k) ≺ phi (zero-padded).  For k >= n the
-    answer is always yes (a maximally entangled state converts to
-    everything of its dimension).  For k < n, only the first n - 1 prefix
-    inequalities can bind, because the target's partial sums reach 1 at
-    index n; only those are evaluated.
+    consumption: psi ⊗ (1/k, ..., 1/k) ≺ phi (zero-padded to n·k), which
+    is the spectrum kernel's batch-of-one case.  For k >= n the answer is
+    always yes (a maximally entangled state converts to everything of its
+    dimension), so no n·k product is formed there.
     """
     if k < 1:
         raise DomainError("catalyst dimension k must be >= 1")
-    if locc_feasible(q, tol):
-        return True
     n = q.dim
     if k >= n:
         return True
-    psi = padded_array(q.psi, n)
-    psi_cum = np.concatenate(([0.0], np.cumsum(psi)))
-    phi_cum = np.cumsum(padded_array(q.phi, n))
-    for l in range(1, n):
-        full, rem = divmod(l, k)
-        top = psi_cum[full] + psi[full] * rem / k
-        if top > phi_cum[l - 1] + tol.eps_major:
-            return False
-    return True
+    lhs = product_spectra(padded_array(q.psi, n), np.full(k, 1.0 / k))
+    return not first_violations(lhs, padded_array(q.phi, n * k), tol.eps_major)[0]
 
 
 def monte_carlo_standard_catalyst(
@@ -210,8 +201,11 @@ def monte_carlo_standard_catalyst(
     after the full budget is evidence, not proof: the algorithm has a
     one-sided false-negative probability that shrinks as the budget grows.
 
-    ``workers`` > 1 evaluates trial blocks on a thread pool of at most
-    min(workers, CPU count, blocks) threads; the outcome is identical to the
+    ``workers`` > 1 evaluates the TRIAL_BLOCK-sized blocks of one search on
+    a thread pool of at most min(workers, CPU count, blocks) threads, so it
+    only helps a search that scans more than one block.  At most twice that
+    many blocks are in flight at once; results are read in block order and
+    the rest are cancelled on a hit, so the outcome is identical to the
     sequential run by the lowest-index rule.
     """
     tol = cfg.tol
@@ -242,12 +236,18 @@ def monte_carlo_standard_catalyst(
     else:
         executor = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [executor.submit(scan_block, b) for b in range(nblocks)]
-            for future in futures:  # submission order == block order
-                result = future.result()
-                if result is not None:
-                    found = result
+            # A sliding window keeps every thread busy without queueing one
+            # future per block up front (that costs memory and time for huge
+            # budgets before any work runs).
+            blocks = iter(range(nblocks))
+            window = deque(executor.submit(scan_block, b) for b in islice(blocks, 2 * workers))
+            while window:
+                found = window.popleft().result()  # window order == block order
+                if found is not None:
                     break
+                block = next(blocks, None)
+                if block is not None:
+                    window.append(executor.submit(scan_block, block))
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
 

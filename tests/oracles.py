@@ -143,3 +143,15 @@ def majorized_mix(rng: np.random.Generator, v: OscVector, moves: int = 3) -> Osc
 def entropy_base2(v) -> float:
     """Plain-python entropy, independent of the numpy implementation."""
     return -math.fsum(p * math.log2(p) for p in v if p > 0.0)
+
+
+def naive_region_csv(grid) -> str:
+    """The ``region.csv`` text of a RegionGrid, formatted cell by cell."""
+    res = grid.resolution
+    lines = ["x1p,x2p,valid,feasible\n"]
+    for i in range(res):
+        for j in range(res):
+            x1, x2 = (i + 0.5) / res, (j + 0.5) / res
+            valid, feasible = int(grid.constraint_mask[i, j]), int(grid.cells[i, j])
+            lines.append(f"{x1!r},{x2!r},{valid},{feasible}\n")
+    return "".join(lines)

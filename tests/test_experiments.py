@@ -12,9 +12,12 @@ from catalocc import (
     majorizes_check,
     tensor_spectrum,
 )
-from catalocc import experiments
-from catalocc.catalysis import locc_feasible
+from catalocc import experiments, search
+from catalocc.catalysis import locc_feasible, mutual_region_scan
 from catalocc.experiments import (
+    MUTUAL_CATALYST,
+    MUTUAL_SOURCE,
+    MUTUAL_TARGET,
     CurvePoint,
     PairGenSpec,
     generate_catalyzable_pairs,
@@ -23,7 +26,10 @@ from catalocc.experiments import (
     success_probability_curve,
     write_curve_csv,
     write_pairs_jsonl,
+    write_region_csv,
 )
+from catalocc.search import TRIAL_BLOCK
+from oracles import naive_region_csv
 
 
 def small_spec(seed=101, count=40):
@@ -112,9 +118,10 @@ class TestSuccessCurve:
 
     def test_workers_do_not_change_results(self):
         pairs = generate_catalyzable_pairs(small_spec(seed=17, count=30))
-        seq = success_probability_curve(pairs, 3, (1, 10, 100), seed=17, workers=1)
-        par = success_probability_curve(pairs, 3, (1, 10, 100), seed=17, workers=4)
-        assert seq == par
+        for budgets in [(1, 10, 100), (1, 10, TRIAL_BLOCK + 100)]:
+            seq = success_probability_curve(pairs, 3, budgets, seed=17, workers=1)
+            par = success_probability_curve(pairs, 3, budgets, seed=17, workers=4)
+            assert seq == par
 
     def test_single_pair_minimal_budget(self):
         pairs = generate_catalyzable_pairs(small_spec(seed=19, count=1))
@@ -126,12 +133,13 @@ class TestSuccessCurve:
             success_probability_curve([], 3, (1,), seed=1)
 
     def test_thread_pool_is_clamped(self, pool_sizes):
+        # the curve has no pool of its own: each search splits its blocks
         pairs = generate_catalyzable_pairs(small_spec(seed=37, count=3))
-        seen = pool_sizes(experiments, cpus=64)
-        success_probability_curve(pairs, 3, (10,), seed=37, workers=1000)
-        pool_sizes(experiments, cpus=2)
-        success_probability_curve(pairs, 3, (10,), seed=37, workers=1000)
-        assert seen == [3, 2]  # min(workers, CPUs, pairs)
+        seen = pool_sizes(search, cpus=64)
+        success_probability_curve(pairs, 3, (10, TRIAL_BLOCK), seed=37, workers=1000)
+        assert seen == []  # one block per search runs sequentially
+        success_probability_curve(pairs, 3, (TRIAL_BLOCK + 1,), seed=37, workers=1000)
+        assert seen == [2, 2, 2]  # min(workers, CPUs, blocks) for each pair
 
 
 class TestReferenceSuite:
@@ -199,3 +207,11 @@ class TestCurveCsv:
         assert lines[0] == "M,success_fraction,pairs,seed"
         assert lines[1] == "1,0.25,4,9"
         assert lines[2] == "10,1.0,4,9"
+
+
+class TestRegionCsv:
+    def test_matches_naive_writer(self, tmp_path):
+        for res in (1, 2, 7, 100):
+            grid = mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, res)
+            path = write_region_csv(tmp_path / f"region{res}.csv", grid)
+            assert path.read_bytes() == naive_region_csv(grid).encode("utf-8")

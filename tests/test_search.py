@@ -41,7 +41,7 @@ class TestGeneralCatalystExists:
             psi = random_osc(rng, n)
             phi = random_osc(rng, n)
             q = TransformQuery(psi, phi)
-            for k in (n, n + 1, n + 3):
+            for k in (n, n + 1, n + 3, 10**9):
                 assert general_catalyst_exists(q, k)
 
     def test_single_decisive_inequality_2x2(self):
@@ -193,6 +193,14 @@ class TestMonteCarlo:
             outcome = monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=1000)
             assert outcome.status is SearchStatus.FAILURE
         assert seen == [3, 2]  # min(workers, CPUs, blocks)
+
+    def test_blocks_in_flight_are_bounded(self, pool_sizes):
+        seen = pool_sizes(search, cpus=2)
+        cfg = SearchConfig(k=2, big_number=64 * TRIAL_BLOCK, seed=7)
+        outcome = monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=2)
+        assert outcome.status is SearchStatus.FAILURE
+        assert seen == [2]
+        assert seen.peak_unfinished <= 4  # 2 x workers, not one per block
 
     def test_unknown_cpu_count_runs_sequentially(self, pool_sizes):
         seen = pool_sizes(search, cpus=None)
