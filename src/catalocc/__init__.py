@@ -32,9 +32,7 @@ from .catalysis import (
     is_time_reverse,
     locc_feasible,
     min_residual_2x2,
-    mutual_demo_inequalities,
     mutual_region_scan,
-    no_standard_catalyst_2xn,
     subcatalyst_forced,
 )
 from .errors import (
@@ -51,10 +49,8 @@ from .search import (
     SearchConfig,
     SearchOutcome,
     SearchStatus,
-    exhaustive_catalyst_oracle,
     general_catalyst_exists,
     monte_carlo_standard_catalyst,
-    sample_sorted_simplex,
 )
 from .experiments import (
     CurvePoint,
@@ -75,13 +71,11 @@ __all__ = [
     # catalysis
     "TransformQuery", "CatalystReport", "RegionGrid", "locc_feasible",
     "is_general_catalyst", "general_catalyst_2x2", "min_residual_2x2",
-    "catalyst_bound_3x3", "subcatalyst_forced", "no_standard_catalyst_2xn",
-    "general_catalyst_2to3", "classify_catalyst", "is_time_reverse",
-    "mutual_region_scan", "mutual_demo_inequalities",
+    "catalyst_bound_3x3", "subcatalyst_forced", "general_catalyst_2to3",
+    "classify_catalyst", "is_time_reverse", "mutual_region_scan",
     # search
-    "SearchStatus", "SearchConfig", "SearchOutcome", "sample_sorted_simplex",
-    "general_catalyst_exists", "monte_carlo_standard_catalyst",
-    "exhaustive_catalyst_oracle",
+    "SearchStatus", "SearchConfig", "SearchOutcome", "general_catalyst_exists",
+    "monte_carlo_standard_catalyst",
     # experiments
     "PairGenSpec", "CurvePoint", "FixtureResult", "SuiteReport",
     "generate_catalyzable_pairs", "success_probability_curve", "reference_suite",

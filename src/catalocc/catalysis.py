@@ -28,7 +28,6 @@ from .core import (
     majorizes_check,
     padded_array,
     product_spectra,
-    tensor_spectrum,
 )
 from .errors import DegenerateTarget, DomainError, NotACatalyst
 
@@ -42,12 +41,10 @@ __all__ = [
     "min_residual_2x2",
     "catalyst_bound_3x3",
     "subcatalyst_forced",
-    "no_standard_catalyst_2xn",
     "general_catalyst_2to3",
     "classify_catalyst",
     "is_time_reverse",
     "mutual_region_scan",
-    "mutual_demo_inequalities",
 ]
 
 # Largest grid accepted by mutual_region_scan; its memory grows with
@@ -119,6 +116,20 @@ class RegionGrid:
 def locc_feasible(q: TransformQuery, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Deterministic LOCC convertibility psi -> phi (Nielsen's criterion)."""
     return majorizes_check(q.psi, q.phi, tol).feasible
+
+
+def _assisted_spectra(
+    q: TransformQuery, chi: OscVector, chi_prime: OscVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of psi ⊗ chi and phi ⊗ chi', zero-padded to one width."""
+    lhs = product_spectra(q.psi.as_array(), chi.as_array())[0]
+    rhs = product_spectra(q.phi.as_array(), chi_prime.as_array())[0]
+    short = lhs.shape[0] - rhs.shape[0]
+    if short > 0:
+        rhs = np.concatenate((rhs, np.zeros(short)))
+    elif short < 0:
+        lhs = np.concatenate((lhs, np.zeros(-short)))
+    return lhs, rhs
 
 
 def is_general_catalyst(
@@ -224,9 +235,7 @@ def subcatalyst_forced(
     """
     if len(chi) != len(chi_prime) or len(chi) not in (2, 3):
         raise DomainError("chi and chi' must both have length 2 or both length 3")
-    lhs = tensor_spectrum(q.psi, chi)
-    rhs = tensor_spectrum(q.phi, chi_prime)
-    if not majorizes_check(lhs, rhs, tol).feasible:
+    if first_violations(*_assisted_spectra(q, chi, chi_prime), tol.eps_major):
         raise NotACatalyst("psi ⊗ chi does not convert to phi ⊗ chi'")
     n = q.dim
     a = padded_array(q.psi, n)
@@ -239,22 +248,6 @@ def subcatalyst_forced(
             "internal inconsistency: hypothesis held but chi is not strictly "
             f"majorized by chi' (got {witness.relation})"
         )
-    return True
-
-
-def no_standard_catalyst_2xn(q: TransformQuery, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """No-go for blocked transformations out of a two-level source.
-
-    For a 2-dim psi with psi not convertible to phi, no standard catalyst or
-    supercatalyst exists: majorization of the product spectra would force
-    E(psi) >= E(phi), and for two-level sources that already implies direct
-    convertibility.  Always returns True under its preconditions; useful as
-    a hard filter before a Monte Carlo search.
-    """
-    if len(q.psi) != 2:
-        raise DomainError("source spectrum must have length 2")
-    if locc_feasible(q, tol):
-        raise DomainError("transformation is already feasible without a catalyst")
     return True
 
 
@@ -276,11 +269,6 @@ def general_catalyst_2to3(q: TransformQuery, x: float, tol: Tolerance = DEFAULT_
     return a1 <= b1 + b2 + eps and x <= min(b1 / a1, b1 + b2) + eps
 
 
-def _spectra_match(lhs: OscVector, rhs: OscVector, eps: float) -> bool:
-    n = max(len(lhs), len(rhs))
-    return bool(np.all(np.abs(padded_array(lhs, n) - padded_array(rhs, n)) <= eps))
-
-
 def is_time_reverse(
     q: TransformQuery,
     chi: OscVector,
@@ -292,9 +280,8 @@ def is_time_reverse(
     Coinciding product spectra make the assisted transformation reversible:
     each side converts to the other under LOCC.
     """
-    lhs = tensor_spectrum(q.psi, chi)
-    rhs = tensor_spectrum(q.phi, chi_prime)
-    return _spectra_match(lhs, rhs, tol.eps_major)
+    lhs, rhs = _assisted_spectra(q, chi, chi_prime)
+    return bool(np.all(np.abs(lhs - rhs) <= tol.eps_major))
 
 
 def classify_catalyst(
@@ -310,13 +297,12 @@ def classify_catalyst(
     TIME_REVERSE, which subsumes the entropy label; the label stays
     recoverable from the stored entropies via ``entropy_label``.
     """
-    lhs = tensor_spectrum(q.psi, chi)
-    rhs = tensor_spectrum(q.phi, chi_prime)
-    if not majorizes_check(lhs, rhs, tol).feasible:
+    lhs, rhs = _assisted_spectra(q, chi, chi_prime)
+    if first_violations(lhs, rhs, tol.eps_major):
         raise NotACatalyst("psi ⊗ chi does not convert to phi ⊗ chi'")
     before = entropy_bits(chi)
     after = entropy_bits(chi_prime)
-    if _spectra_match(lhs, rhs, tol.eps_major):
+    if np.all(np.abs(lhs - rhs) <= tol.eps_major):
         kind = CatalystKind.TIME_REVERSE
     elif abs(before - after) <= tol.eps_entropy:
         kind = CatalystKind.STANDARD
@@ -340,7 +326,8 @@ def mutual_region_scan(
     valid iff x1' >= x2' >= x3' >= 0 and feasible iff additionally
     psi ⊗ chi ≺ phi ⊗ (x1', x2', x3').  Direct majorization of the product
     spectra is the ground truth; closed-form inequality systems such as
-    :func:`mutual_demo_inequalities` are cross-checks for specific inputs.
+    :func:`catalocc.experiments.mutual_demo_inequalities` are cross-checks
+    for specific inputs.
 
     All valid cells form one batch of the spectrum kernel, so each verdict
     is bitwise the one :func:`majorizes_check` gives for that cell.
@@ -368,22 +355,3 @@ def mutual_region_scan(
         cells[ii, jj] = first_violations(lhs, rhs, tol.eps_major) == 0
     return RegionGrid(resolution=resolution, cells=cells, constraint_mask=valid)
 
-
-def mutual_demo_inequalities(x1p: float, x2p: float) -> bool:
-    """Hard-coded inequality system for the bundled mutual-catalysis demo.
-
-    Specialization of the residual feasibility system to the demo instance
-    psi = (0.5, 0.26, 0.24), phi = (0.49, 0.48, 0.03), chi = (0.62, 0.3, 0.08):
-    three binding prefix inequalities, three ordering assumptions on the
-    residual products, and a strict cap x1' + x2' < 0.92 that keeps the
-    (chi, chi') pair incomparable.  Evaluated exactly, with no tolerance.
-    """
-    return (
-        x1p >= 31.0 / 49.0
-        and 0.97 * x1p + 0.49 * x2p >= 0.6212
-        and 0.97 * (x1p + x2p) >= 0.77
-        and 0.48 * x1p >= 0.49 * x2p
-        and 0.49 * x1p + 0.97 * x2p >= 0.49
-        and 17.0 * x1p + 16.0 * x2p <= 16.0
-        and x1p + x2p < 0.92
-    )

@@ -231,7 +231,7 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
             "seed": outcome.seed,
         }))
         sys.exit(EXIT_FEASIBLE if success else EXIT_INFEASIBLE)
-    except CataloccError as exc:
+    except (ValueError, CataloccError) as exc:
         _fail(str(exc))
 
 

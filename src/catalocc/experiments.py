@@ -24,7 +24,6 @@ from .catalysis import (
     is_general_catalyst,
     is_time_reverse,
     locc_feasible,
-    mutual_demo_inequalities,
     mutual_region_scan,
     subcatalyst_forced,
 )
@@ -66,6 +65,7 @@ __all__ = [
     "MUTUAL_TARGET",
     "MUTUAL_CATALYST",
     "MUTUAL_RESIDUAL_POINT",
+    "mutual_demo_inequalities",
     "PairGenSpec",
     "CurvePoint",
     "FixtureResult",
@@ -103,6 +103,27 @@ MUTUAL_SOURCE = OscVector((0.5, 0.26, 0.24))
 MUTUAL_TARGET = OscVector((0.49, 0.48, 0.03))
 MUTUAL_CATALYST = OscVector((0.62, 0.3, 0.08))
 MUTUAL_RESIDUAL_POINT = (0.81, 0.10, 0.09)
+
+
+def mutual_demo_inequalities(x1p: float, x2p: float) -> bool:
+    """Hard-coded inequality system for the bundled mutual-catalysis demo.
+
+    Specialization of the residual feasibility system to the demo instance
+    psi = (0.5, 0.26, 0.24), phi = (0.49, 0.48, 0.03), chi = (0.62, 0.3, 0.08):
+    three binding prefix inequalities, three ordering assumptions on the
+    residual products, and a strict cap x1' + x2' < 0.92 that keeps the
+    (chi, chi') pair incomparable.  Evaluated exactly, with no tolerance.
+    """
+    return (
+        x1p >= 31.0 / 49.0
+        and 0.97 * x1p + 0.49 * x2p >= 0.6212
+        and 0.97 * (x1p + x2p) >= 0.77
+        and 0.48 * x1p >= 0.49 * x2p
+        and 0.49 * x1p + 0.97 * x2p >= 0.49
+        and 17.0 * x1p + 16.0 * x2p <= 16.0
+        and x1p + x2p < 0.92
+    )
+
 
 _GEN_BATCH = 8192
 # Abort thresholds for rejection sampling: measured acceptance below

@@ -1,4 +1,4 @@
-"""Randomized and exhaustive catalyst search.
+"""Randomized catalyst search and the exact general-catalyst decision.
 
 The standard-catalyst question (does some chi satisfy
 psi ⊗ chi ≺ phi ⊗ chi?) has no known closed form, so it is attacked by
@@ -48,10 +48,8 @@ __all__ = [
     "SearchStatus",
     "SearchConfig",
     "SearchOutcome",
-    "sample_sorted_simplex",
     "general_catalyst_exists",
     "monte_carlo_standard_catalyst",
-    "exhaustive_catalyst_oracle",
 ]
 
 # Trials per RNG substream.  Fixed: changing it would change the candidate
@@ -97,20 +95,14 @@ class SearchOutcome:
     seed: int
 
 
-def sample_sorted_simplex(k: int, rng: np.random.Generator) -> OscVector:
-    """One draw from the uniform (flat Dirichlet) distribution on the
-    (k-1)-simplex, sorted nonincreasing.
+def _sorted_simplex_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
+    """``rows`` draws from the uniform (flat Dirichlet) distribution on the
+    (k-1)-simplex, each sorted nonincreasing.
 
     Uses the exponential trick: k unit exponentials normalized by their sum.
-    Consumes exactly k uniforms from ``rng``, so batched draws reproduce
-    repeated calls on the same stream.
+    Consumes exactly rows·k uniforms from ``rng``, row by row, so one large
+    draw reproduces several smaller ones on the same stream.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return OscVector(tuple(float(v) for v in _sorted_simplex_rows(rng, 1, k)[0]))
-
-
-def _sorted_simplex_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
     return _simplex_points(-np.log1p(-rng.random((rows, k))))
 
 
@@ -127,21 +119,6 @@ def _simplex_points(e: np.ndarray) -> np.ndarray:
     x = e / s[:, None]
     x.sort(axis=1)
     return x[:, ::-1]
-
-
-def _first_feasible_row(
-    psi: np.ndarray, phi: np.ndarray, chis: np.ndarray, eps: float
-) -> Optional[int]:
-    """Index of the first row of ``chis`` that is a standard catalyst."""
-    n = psi.shape[0]
-    chunk = max(64, _EVAL_CHUNK_ELEMS // (n * chis.shape[1]))
-    for off in range(0, chis.shape[0], chunk):
-        part = chis[off : off + chunk]
-        first = first_violations(product_spectra(psi, part), product_spectra(phi, part), eps)
-        hits = np.flatnonzero(first == 0)
-        if hits.size:
-            return off + int(hits[0])
-    return None
 
 
 def _scalar_leq(psi, phi, chi, eps: float) -> bool:
@@ -162,14 +139,6 @@ def _scalar_leq(psi, phi, chi, eps: float) -> bool:
         if sa > sb + eps:
             return False
     return True
-
-
-def _certified(q: TransformQuery, row: np.ndarray, eps: float) -> OscVector:
-    """The kernel's accepted candidate, after the scalar re-check."""
-    catalyst = OscVector(tuple(float(v) for v in row))
-    if not _scalar_leq(q.psi, q.phi, catalyst, eps):
-        raise RuntimeError("internal: kernel verdict fails the scalar re-check")
-    return catalyst
 
 
 def general_catalyst_exists(q: TransformQuery, k: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -216,17 +185,24 @@ def monte_carlo_standard_catalyst(
     phi = padded_array(q.phi, n)
     big_m = cfg.big_number
     nblocks = math.ceil(big_m / TRIAL_BLOCK)
+    chunk = max(64, _EVAL_CHUNK_ELEMS // (n * cfg.k))
 
-    def scan_block(block: int) -> Optional[tuple[int, np.ndarray]]:
+    def scan_block(block: int) -> Optional[tuple[int, tuple[float, ...]]]:
+        """Lowest feasible trial index in ``block`` and its candidate."""
         start = block * TRIAL_BLOCK
         rows = min(TRIAL_BLOCK, big_m - start)
         chis = _sorted_simplex_rows(substream(cfg.seed, CTX_TRIALS, block), rows, cfg.k)
-        hit = _first_feasible_row(psi, phi, chis, tol.eps_major)
-        if hit is None:
-            return None
-        return start + hit, chis[hit].copy()
+        for off in range(0, rows, chunk):
+            part = chis[off : off + chunk]
+            first = first_violations(
+                product_spectra(psi, part), product_spectra(phi, part), tol.eps_major
+            )
+            hits = np.flatnonzero(first == 0)
+            if hits.size:
+                return start + off + int(hits[0]), tuple(part[hits[0]].tolist())
+        return None
 
-    found: Optional[tuple[int, np.ndarray]] = None
+    found: Optional[tuple[int, tuple[float, ...]]] = None
     workers = min(workers, os.cpu_count() or 1, nblocks)
     if workers <= 1:
         for block in range(nblocks):
@@ -253,55 +229,9 @@ def monte_carlo_standard_catalyst(
 
     if found is None:
         return SearchOutcome(SearchStatus.FAILURE, None, big_m, cfg.seed)
-    index, row = found
-    catalyst = _certified(q, row, tol.eps_major)
+    index, coeffs = found
+    catalyst = OscVector(coeffs)
+    if not _scalar_leq(q.psi, q.phi, catalyst, tol.eps_major):
+        raise RuntimeError("internal: kernel verdict fails the scalar re-check")
     return SearchOutcome(SearchStatus.SUCCESS, catalyst, index + 1, cfg.seed)
 
-
-def exhaustive_catalyst_oracle(
-    q: TransformQuery, k: int, step: float, tol: Tolerance = DEFAULT_TOL
-) -> Optional[OscVector]:
-    """Grid enumeration of the sorted simplex; ground truth for small runs.
-
-    Scans lattice points at the given step in lexicographic order (top
-    coefficient ascending) and returns the first standard catalyst found,
-    or None when the whole grid fails.  Only k = 2 and k = 3 are supported;
-    this is a test oracle, not a production search.
-    """
-    if k not in (2, 3):
-        raise DomainError("oracle supports k = 2 or k = 3 only")
-    if not 1e-5 <= step <= 0.1:
-        raise DomainError(f"step must lie in [1e-5, 0.1], got {step!r}")
-    if locc_feasible(q, tol):
-        raise DomainError("transformation needs no catalyst; it is already feasible")
-
-    if k == 2:
-
-        def batches():
-            count = int(math.floor(0.5 / step + 1e-9)) + 1
-            x1 = 0.5 + np.arange(count, dtype=np.float64) * step
-            x1 = x1[x1 <= 1.0 + 1e-12]
-            yield np.stack([x1, 1.0 - x1], axis=1)
-
-    else:
-
-        def batches():
-            i_lo = int(math.ceil(1.0 / (3.0 * step) - 1e-9))
-            i_hi = int(math.floor(1.0 / step + 1e-9))
-            for i in range(i_lo, i_hi + 1):
-                x1 = i * step
-                j_lo = int(math.ceil((1.0 - x1) / (2.0 * step) - 1e-9))
-                j_hi = min(i, int(math.floor((1.0 - x1) / step + 1e-9)))
-                if j_hi < j_lo:
-                    continue
-                x2 = np.arange(j_lo, j_hi + 1, dtype=np.float64) * step
-                x3 = np.maximum(1.0 - x1 - x2, 0.0)
-                yield np.stack([np.full_like(x2, x1), x2, x3], axis=1)
-
-    psi = padded_array(q.psi, q.dim)
-    phi = padded_array(q.phi, q.dim)
-    for batch in batches():
-        hit = _first_feasible_row(psi, phi, batch, tol.eps_major)
-        if hit is not None:
-            return _certified(q, batch[hit], tol.eps_major)
-    return None

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's batched spectrum kernel:
 spectra come from naive full sorts of the outer product, majorization from
 a plain Python prefix-sum loop, minimal residuals from bisection on the
-direct predicate, and small feasibility questions from grid enumeration.
+direct predicate, and small feasibility questions from grid enumeration,
+including the grid oracle for standard catalysts of dimension 2 and 3.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from catalocc import OscVector, TransformQuery
+from catalocc import DomainError, OscVector, TransformQuery
 
 
 def naive_tensor_spectrum(a, b) -> list[float]:
@@ -42,15 +43,19 @@ def assisted_feasible(psi, phi, chi, chi_prime, eps: float = 1e-12) -> bool:
     return direct_leq(naive_tensor_spectrum(psi, chi), naive_tensor_spectrum(phi, chi_prime), eps)
 
 
+def two_level_points(step: float):
+    """The lattice points (x, 1-x), x = 0.5 + i*step <= 1, x ascending."""
+    for i in range(math.floor(0.5 / step + 1e-9) + 1):
+        x = 0.5 + i * step
+        if x > 1.0 + 1e-12:
+            return
+        yield (x, 1.0 - x)
+
+
 def brute_general_2x2(psi, phi, x: float, step: float = 1e-4) -> bool:
     """Grid search over residuals (x', 1-x'): is (x, 1-x) a general catalyst?"""
     chi = (x, 1.0 - x)
-    m = int(round(0.5 / step))
-    for i in range(m + 1):
-        xp = 0.5 + i * step
-        if assisted_feasible(psi, phi, chi, (xp, 1.0 - xp)):
-            return True
-    return False
+    return any(assisted_feasible(psi, phi, chi, res) for res in two_level_points(step))
 
 
 def bisect_min_residual(psi, phi, x: float, iters: int = 60) -> float:
@@ -81,12 +86,7 @@ def bisect_min_residual(psi, phi, x: float, iters: int = 60) -> float:
 
 def feasible_x1_interval(psi, phi, step: float = 1e-4) -> tuple[float, float] | None:
     """Sweep of x1 for which (x1, 1-x1) is a *standard* catalyst."""
-    hits = []
-    m = int(round(0.5 / step))
-    for i in range(m + 1):
-        x1 = 0.5 + i * step
-        if assisted_feasible(psi, phi, (x1, 1.0 - x1), (x1, 1.0 - x1)):
-            hits.append(x1)
+    hits = [chi[0] for chi in two_level_points(step) if assisted_feasible(psi, phi, chi, chi)]
     if not hits:
         return None
     return min(hits), max(hits)
@@ -94,13 +94,42 @@ def feasible_x1_interval(psi, phi, step: float = 1e-4) -> tuple[float, float] | 
 
 def standard_region_measure_2x2(psi, phi, step: float = 1e-3) -> float:
     """Lebesgue-measure estimate (in x1) of the standard-catalyst set."""
-    m = int(round(0.5 / step))
-    count = 0
-    for i in range(m + 1):
-        x1 = 0.5 + i * step
-        if assisted_feasible(psi, phi, (x1, 1.0 - x1), (x1, 1.0 - x1)):
-            count += 1
+    count = sum(assisted_feasible(psi, phi, chi, chi) for chi in two_level_points(step))
     return count * step
+
+
+def three_level_points(step: float):
+    """The sorted lattice points (x1, x2, x3) with x1, x2 multiples of step,
+    in lexicographic order (x1 ascending, then x2 ascending)."""
+    i_lo = math.ceil(1.0 / (3.0 * step) - 1e-9)
+    i_hi = math.floor(1.0 / step + 1e-9)
+    for i in range(i_lo, i_hi + 1):
+        x1 = i * step
+        j_lo = math.ceil((1.0 - x1) / (2.0 * step) - 1e-9)
+        j_hi = min(i, math.floor((1.0 - x1) / step + 1e-9))
+        for j in range(j_lo, j_hi + 1):
+            x2 = j * step
+            yield (x1, x2, max(1.0 - x1 - x2, 0.0))
+
+
+def exhaustive_catalyst_oracle(q: TransformQuery, k: int, step: float) -> OscVector | None:
+    """First lattice point chi (k = 2 or 3, at the given step) with
+    psi ⊗ chi ≺ phi ⊗ chi, or None when the whole grid fails.
+
+    A plain walk over :func:`assisted_feasible`; ground truth for the
+    Monte Carlo search on small instances.
+    """
+    if k not in (2, 3):
+        raise DomainError("oracle supports k = 2 or k = 3 only")
+    if not 1e-5 <= step <= 0.1:
+        raise DomainError(f"step must lie in [1e-5, 0.1], got {step!r}")
+    if direct_leq(q.psi, q.phi):
+        raise DomainError("transformation needs no catalyst; it is already feasible")
+    points = two_level_points(step) if k == 2 else three_level_points(step)
+    for chi in points:
+        if assisted_feasible(q.psi, q.phi, chi, chi):
+            return OscVector(chi)
+    return None
 
 
 def random_osc(rng: np.random.Generator, n: int) -> OscVector:

@@ -21,9 +21,7 @@ from catalocc import (
     majorizes_check,
     make_osc,
     min_residual_2x2,
-    mutual_demo_inequalities,
     mutual_region_scan,
-    no_standard_catalyst_2xn,
     subcatalyst_forced,
     tensor_spectrum,
 )
@@ -41,6 +39,7 @@ from catalocc.experiments import (
     TR_RESIDUAL,
     TR_SOURCE,
     TR_TARGET,
+    mutual_demo_inequalities,
 )
 from oracles import (
     assisted_feasible,
@@ -257,8 +256,12 @@ class TestSubcatalystForced:
 
 
 class TestNoStandardCatalyst2xn:
+    # For a two-level source with psi_1 > phi_1, the top entry of psi ⊗ chi
+    # is psi_1·chi_1 > phi_1·chi_1, the top entry of phi ⊗ chi, so no chi
+    # of any dimension is a standard catalyst: psi_1 > phi_1 is the proof.
     def test_blocked_2x2(self):
-        assert no_standard_catalyst_2xn(PAIR_2X2) is True
+        assert len(PAIR_2X2.psi) == 2 and not locc_feasible(PAIR_2X2)
+        assert PAIR_2X2.psi[0] > PAIR_2X2.phi[0]
 
     def test_entropy_mechanism(self):
         from catalocc import entropy_bits
@@ -267,18 +270,10 @@ class TestNoStandardCatalyst2xn:
         assert entropy_bits(PAIR_2X2.phi) == pytest.approx(0.8112781244591328, abs=1e-15)
         assert entropy_bits(PAIR_2X2.psi) < entropy_bits(PAIR_2X2.phi)
 
-    def test_feasible_pair_rejected(self):
-        q = TransformQuery(OscVector((0.5, 0.5)), make_osc((0.7, 0.3)))
-        with pytest.raises(DomainError):
-            no_standard_catalyst_2xn(q)
-
-    def test_wide_source_rejected(self):
-        with pytest.raises(DomainError):
-            no_standard_catalyst_2xn(JP)
-
     def test_two_by_three(self):
         q = TransformQuery(make_osc((0.9, 0.1)), make_osc((0.6, 0.2, 0.2)))
-        assert no_standard_catalyst_2xn(q) is True
+        assert len(q.psi) == 2 and not locc_feasible(q)
+        assert q.psi[0] > q.phi[0]
 
 
 class TestGeneralCatalyst2to3:

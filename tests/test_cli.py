@@ -155,6 +155,14 @@ class TestCatalyze:
         assert both.exit_code == 2
         neither = runner.invoke(main, ["catalyze", jp_files["psi"], jp_files["phi"]])
         assert neither.exit_code == 2
+        # invalid search settings are errors (exit 2), not "infeasible" (exit 1)
+        for bad in (["--k", "0"], ["--k", "2", "-M", "0"]):
+            result = runner.invoke(
+                main,
+                ["catalyze", jp_files["psi"], jp_files["phi"], "--mode", "standard", *bad],
+            )
+            assert result.exit_code == 2
+            assert "error:" in result.output
 
     def test_already_feasible_is_an_error(self, runner, tmp_path):
         psi = write_state(tmp_path, "max", (0.25, 0.25, 0.25, 0.25))

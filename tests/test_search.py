@@ -10,19 +10,17 @@ from catalocc import (
     SearchConfig,
     SearchStatus,
     TransformQuery,
-    exhaustive_catalyst_oracle,
     general_catalyst_exists,
     majorizes_check,
     make_osc,
     monte_carlo_standard_catalyst,
-    sample_sorted_simplex,
     tensor_spectrum,
 )
 from catalocc import search
 from catalocc.experiments import JP_SOURCE, JP_TARGET, JP_TARGET_SHIFTED
 from catalocc.rng import CTX_TRIALS, substream
 from catalocc.search import TRIAL_BLOCK, _sorted_simplex_rows
-from oracles import random_osc, standard_region_measure_2x2
+from oracles import exhaustive_catalyst_oracle, random_osc, standard_region_measure_2x2
 
 JP = TransformQuery(JP_SOURCE, JP_TARGET)
 JP_SHIFTED = TransformQuery(JP_SOURCE, JP_TARGET_SHIFTED)
@@ -68,12 +66,12 @@ class TestGeneralCatalystExists:
 class TestSampleSortedSimplex:
     def test_degenerate_k1(self):
         rng = substream(1, CTX_TRIALS, 0)
-        assert sample_sorted_simplex(1, rng).coeffs == (1.0,)
+        assert _sorted_simplex_rows(rng, 1, 1).tolist() == [[1.0]]
 
     def test_valid_sorted_output(self):
         rng = substream(2, CTX_TRIALS, 0)
         for k in (2, 3, 5, 8):
-            v = sample_sorted_simplex(k, rng)
+            v = _sorted_simplex_rows(rng, 1, k)[0].tolist()
             assert len(v) == k
             assert all(a >= b for a, b in zip(v, list(v)[1:]))
             assert sum(v) == pytest.approx(1.0, abs=1e-12)
@@ -85,14 +83,14 @@ class TestSampleSortedSimplex:
         assert rows[:, 0].mean() == pytest.approx(0.75, abs=0.005)
 
     def test_deterministic_across_runs(self):
-        a = sample_sorted_simplex(4, substream(7, CTX_TRIALS, 5)).coeffs
-        b = sample_sorted_simplex(4, substream(7, CTX_TRIALS, 5)).coeffs
+        a = _sorted_simplex_rows(substream(7, CTX_TRIALS, 5), 1, 4).tolist()
+        b = _sorted_simplex_rows(substream(7, CTX_TRIALS, 5), 1, 4).tolist()
         assert a == b
 
     def test_batch_equals_sequential(self):
         batched = _sorted_simplex_rows(substream(11, CTX_TRIALS, 2), 16, 3)
         rng = substream(11, CTX_TRIALS, 2)
-        single = np.stack([sample_sorted_simplex(3, rng).as_array() for _ in range(16)])
+        single = np.concatenate([_sorted_simplex_rows(rng, 1, 3) for _ in range(16)])
         assert np.array_equal(batched, single)
 
 
@@ -129,9 +127,12 @@ class TestMonteCarlo:
         assert outcome.trials_used == 10_000
 
     def test_feasible_pair_rejected(self):
-        q = TransformQuery(OscVector.maximally_entangled(4), JP_TARGET)
-        with pytest.raises(DomainError):
-            monte_carlo_standard_catalyst(q, SearchConfig(k=2, big_number=10, seed=1))
+        for q in (
+            TransformQuery(OscVector.maximally_entangled(4), JP_TARGET),
+            TransformQuery(OscVector((0.5, 0.5)), make_osc((0.7, 0.3))),
+        ):
+            with pytest.raises(DomainError):
+                monte_carlo_standard_catalyst(q, SearchConfig(k=2, big_number=10, seed=1))
 
     def test_deterministic(self):
         cfg = SearchConfig(k=2, big_number=500, seed=321)
