@@ -1,9 +1,13 @@
 """Command-line front-end.
 
-States are JSON files {"name": ..., "coeffs": [...]}; coefficients are read
-as decimal literals and converted to binary floats exactly once.  Commands
-print machine-readable JSON to stdout and use the exit-code contract
-0 = feasible / success, 1 = infeasible / failure, 2 = error.  File-writing
+A thin shell over the library.  States are JSON files
+{"name": ..., "coeffs": [...]}; coefficients are read as decimal literals
+and converted to binary floats exactly once.  Commands print
+machine-readable JSON to stdout and use the exit-code contract
+0 = feasible / success, 1 = infeasible / failure, 2 = error.  Bad input is
+decided in one place, the group's error boundary: a ``ValueError`` or
+``CataloccError`` from any command prints ``error: ...`` and exits 2, while
+any other exception (an internal fault) keeps its traceback.  File-writing
 commands drop a run manifest next to each output so results can be
 reproduced from the manifest alone.
 """
@@ -20,12 +24,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .catalysis import (
-    TransformQuery,
-    classify_catalyst,
-    is_general_catalyst,
-    mutual_region_scan,
-)
+from .catalysis import TransformQuery, classify_catalyst, mutual_region_scan
 from .core import (
     CatalystClass,
     OscVector,
@@ -65,23 +64,15 @@ class RunSettings:
     threads: int
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every generated file."""
+class _Main(click.Group):
+    """The one error boundary: bad input to any command exits 2."""
 
-    command: str
-    parameters: dict
-    inputs: dict[str, str]
-    seed: int
-    tolerance: dict
-    tool: str
-    version: str
-    outputs: dict[str, str]
-
-
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_ERROR)
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except (ValueError, CataloccError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_ERROR)
 
 
 def _sha256(path: Path) -> str:
@@ -96,25 +87,25 @@ def _load_state(path: str, tol: Tolerance) -> tuple[str, OscVector]:
         if not isinstance(raw, dict) or "coeffs" not in raw:
             raise CataloccError('expected a JSON object with a "coeffs" array')
         return str(raw.get("name", p.stem)), make_osc(raw["coeffs"], tol)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError, CataloccError) as exc:
-        _fail(f"{path}: {exc}")
-        raise  # unreachable; keeps type checkers honest
+    except (OSError, ValueError, TypeError, CataloccError) as exc:
+        raise CataloccError(f"{path}: {exc}") from exc
 
 
 def _write_manifest(settings: RunSettings, command: str, parameters: dict,
                     inputs: dict[str, Path], outputs: list[Path]) -> Path:
-    manifest = RunManifest(
-        command=command,
-        parameters=parameters,
-        inputs={name: _sha256(p) for name, p in inputs.items()},
-        seed=settings.seed,
-        tolerance=dataclasses.asdict(settings.tol),
-        tool="catalocc",
-        version=__version__,
-        outputs={p.name: _sha256(p) for p in outputs},
-    )
+    """Reproducibility record written alongside every generated file."""
+    manifest = {
+        "command": command,
+        "parameters": parameters,
+        "inputs": {name: _sha256(p) for name, p in inputs.items()},
+        "seed": settings.seed,
+        "tolerance": dataclasses.asdict(settings.tol),
+        "tool": "catalocc",
+        "version": __version__,
+        "outputs": {p.name: _sha256(p) for p in outputs},
+    }
     path = settings.out / f"{command}.manifest.json"
-    path.write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
 
 
@@ -129,7 +120,7 @@ def _classification_json(cls: CatalystClass | None, tol: Tolerance) -> dict | No
     }
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="catalocc")
 @click.option("--tol-major", type=float, default=1e-12, show_default=True,
               help="Slack for partial-sum comparisons.")
@@ -145,10 +136,9 @@ def _classification_json(cls: CatalystClass | None, tol: Tolerance) -> dict | No
 def main(ctx: click.Context, tol_major: float, tol_norm: float, seed: int,
          out: Path, threads: int) -> None:
     """Feasibility of entanglement-assisted LOCC transformations."""
-    try:
-        tol = Tolerance(eps_major=tol_major, eps_norm=tol_norm)
-    except ValueError as exc:
-        _fail(str(exc))
+    tol = Tolerance(eps_major=tol_major, eps_norm=tol_norm)
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
     out.mkdir(parents=True, exist_ok=True)
     ctx.obj = RunSettings(tol=tol, seed=seed, out=out, threads=threads)
 
@@ -189,50 +179,44 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
              chi_file: str | None, k: int | None, mode: str, big_number: int) -> None:
     """Test a given catalyst, or search/decide for a k x k one."""
     if (chi_file is None) == (k is None):
-        _fail("provide exactly one of --chi FILE or --k K")
+        raise ValueError("provide exactly one of --chi FILE or --k K")
     _, psi = _load_state(psi_file, settings.tol)
     _, phi = _load_state(phi_file, settings.tol)
     query = TransformQuery(psi, phi)
     tol = settings.tol
-    try:
-        if chi_file is not None:
-            _, chi = _load_state(chi_file, tol)
-            if mode == "general":
-                report = is_general_catalyst(query, chi, tol)
-                feasible, residual, cls = report.feasible, report.residual, report.classification
-            else:
-                try:
-                    cls = classify_catalyst(query, chi, chi, tol)
-                    feasible, residual = True, chi
-                except NotACatalyst:
-                    feasible, residual, cls = False, None, None
-            click.echo(json.dumps({
-                "mode": mode,
-                "feasible": feasible,
-                "catalyst": list(chi),
-                "residual": list(residual) if residual is not None else None,
-                "classification": _classification_json(cls, tol),
-            }))
-            sys.exit(EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE)
-        if mode == "general":
-            exists = general_catalyst_exists(query, k, tol)
-            click.echo(json.dumps({"mode": mode, "k": k, "exists": exists}))
-            sys.exit(EXIT_FEASIBLE if exists else EXIT_INFEASIBLE)
-        cfg = SearchConfig(k=k, big_number=big_number, seed=settings.seed, tol=tol)
-        outcome = monte_carlo_standard_catalyst(query, cfg, workers=settings.threads)
-        success = outcome.status is SearchStatus.SUCCESS
+    if chi_file is not None:
+        _, chi = _load_state(chi_file, tol)
+        # A general catalyst may be consumed completely, so general mode
+        # tests the separable residual (the complete-consumption reduction).
+        residual = chi if mode == "standard" else OscVector.separable(len(chi))
+        try:
+            cls = classify_catalyst(query, chi, residual, tol)
+        except NotACatalyst:
+            residual = cls = None
         click.echo(json.dumps({
             "mode": mode,
-            "k": k,
-            "status": outcome.status.value,
-            "catalyst": list(outcome.catalyst) if outcome.catalyst is not None else None,
-            "trials_used": outcome.trials_used,
-            "big_number": big_number,
-            "seed": outcome.seed,
+            "feasible": cls is not None,
+            "catalyst": list(chi),
+            "residual": list(residual) if residual is not None else None,
+            "classification": _classification_json(cls, tol),
         }))
-        sys.exit(EXIT_FEASIBLE if success else EXIT_INFEASIBLE)
-    except (ValueError, CataloccError) as exc:
-        _fail(str(exc))
+        sys.exit(EXIT_FEASIBLE if cls is not None else EXIT_INFEASIBLE)
+    if mode == "general":
+        exists = general_catalyst_exists(query, k, tol)
+        click.echo(json.dumps({"mode": mode, "k": k, "exists": exists}))
+        sys.exit(EXIT_FEASIBLE if exists else EXIT_INFEASIBLE)
+    cfg = SearchConfig(k=k, big_number=big_number, seed=settings.seed, tol=tol)
+    outcome = monte_carlo_standard_catalyst(query, cfg, workers=settings.threads)
+    click.echo(json.dumps({
+        "mode": mode,
+        "k": k,
+        "status": outcome.status.value,
+        "catalyst": list(outcome.catalyst) if outcome.catalyst is not None else None,
+        "trials_used": outcome.trials_used,
+        "big_number": big_number,
+        "seed": outcome.seed,
+    }))
+    sys.exit(EXIT_FEASIBLE if outcome.status is SearchStatus.SUCCESS else EXIT_INFEASIBLE)
 
 
 @main.command()
@@ -248,10 +232,7 @@ def region(settings: RunSettings, psi_file: str, phi_file: str, chi_file: str,
     _, psi = _load_state(psi_file, settings.tol)
     _, phi = _load_state(phi_file, settings.tol)
     _, chi = _load_state(chi_file, settings.tol)
-    try:
-        grid = mutual_region_scan(psi, phi, chi, resolution, settings.tol)
-    except CataloccError as exc:
-        _fail(str(exc))
+    grid = mutual_region_scan(psi, phi, chi, resolution, settings.tol)
     csv_path = write_region_csv(settings.out / "region.csv", grid)
     _write_manifest(
         settings,
@@ -279,12 +260,8 @@ def region(settings: RunSettings, psi_file: str, phi_file: str, chi_file: str,
 def genpairs(settings: RunSettings, n: int, k: int, count: int,
              max_rejections: int | None) -> None:
     """Generate state pairs that certifiably admit a k x k standard catalyst."""
-    try:
-        spec = PairGenSpec(seed=settings.seed, n=n, k=k, count=count,
-                           max_rejections=max_rejections)
-        pairs = generate_catalyzable_pairs(spec, settings.tol)
-    except (ValueError, CataloccError) as exc:
-        _fail(str(exc))
+    spec = PairGenSpec(seed=settings.seed, n=n, k=k, count=count, max_rejections=max_rejections)
+    pairs = generate_catalyzable_pairs(spec, settings.tol)
     jsonl = write_pairs_jsonl(settings.out / "pairs.jsonl", pairs, settings.seed)
     _write_manifest(
         settings,
@@ -299,36 +276,24 @@ def genpairs(settings: RunSettings, n: int, k: int, count: int,
 
 @main.command()
 @click.option("--pairs", "pairs_file", type=click.Path(exists=True, dir_okay=False),
-              help="Pair archive from genpairs; generated on the fly when omitted.")
-@click.option("--n", type=int, default=8, show_default=True, help="State dimension.")
+              required=True, help="Pair archive written by genpairs.")
 @click.option("--k", type=int, default=4, show_default=True, help="Catalyst dimension.")
-@click.option("--count", type=int, default=5000, show_default=True, help="Pairs to generate.")
 @click.option("--m-values", default="1,5,10,25,50,100", show_default=True,
               help="Comma-separated trial budgets.")
 @click.pass_obj
-def curve(settings: RunSettings, pairs_file: str | None, n: int, k: int, count: int,
-          m_values: str) -> None:
+def curve(settings: RunSettings, pairs_file: str, k: int, m_values: str) -> None:
     """Success probability of the Monte Carlo search as a function of budget."""
-    try:
-        ms = [int(v) for v in m_values.split(",") if v.strip()]
-        if pairs_file is not None:
-            pairs = load_pairs_jsonl(pairs_file, settings.tol)
-        else:
-            spec = PairGenSpec(seed=settings.seed, n=n, k=k, count=count)
-            pairs = generate_catalyzable_pairs(spec, settings.tol)
-        points = success_probability_curve(
-            pairs, k, ms, settings.seed, settings.tol, workers=settings.threads
-        )
-    except (ValueError, CataloccError) as exc:
-        _fail(str(exc))
+    ms = [int(v) for v in m_values.split(",") if v.strip()]
+    pairs = load_pairs_jsonl(pairs_file, settings.tol)
+    points = success_probability_curve(
+        pairs, k, ms, settings.seed, settings.tol, workers=settings.threads
+    )
     csv_path = write_curve_csv(settings.out / "curve.csv", points)
-    inputs = {"pairs": Path(pairs_file)} if pairs_file else {}
     _write_manifest(
         settings,
         "curve",
-        {"n": n, "k": k, "count": count, "m_values": ms,
-         "pairs_file": pairs_file},
-        inputs,
+        {"k": k, "m_values": ms, "pairs_file": pairs_file},
+        {"pairs": Path(pairs_file)},
         [csv_path],
     )
     click.echo(json.dumps({

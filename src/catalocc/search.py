@@ -56,6 +56,12 @@ __all__ = [
 # sequence and hence search outcomes.
 TRIAL_BLOCK = 4096
 
+# Largest search accepted by monte_carlo_standard_catalyst.  A block draws
+# TRIAL_BLOCK x k uniforms at once and a chunk forms n·k-wide product rows,
+# so peak memory grows with k (about 64 KB per unit of k) and with n·k.
+MAX_SEARCH_K = 1024
+MAX_SEARCH_NK = 1 << 16
+
 # Rows per evaluation batch are capped so the working set stays cache-sized;
 # this affects speed only, never verdicts.
 _EVAL_CHUNK_ELEMS = 1 << 16
@@ -176,11 +182,19 @@ def monte_carlo_standard_catalyst(
     many blocks are in flight at once; results are read in block order and
     the rest are cancelled on a hit, so the outcome is identical to the
     sequential run by the lowest-index rule.
+
+    Searches with k > :data:`MAX_SEARCH_K` or n·k > :data:`MAX_SEARCH_NK`
+    are refused with :class:`DomainError` before anything is drawn.
     """
+    n = q.dim
+    if cfg.k > MAX_SEARCH_K or n * cfg.k > MAX_SEARCH_NK:
+        raise DomainError(
+            f"search too large: k = {cfg.k} and n*k = {n * cfg.k}; "
+            f"the caps are k <= {MAX_SEARCH_K} and n*k <= {MAX_SEARCH_NK}"
+        )
     tol = cfg.tol
     if locc_feasible(q, tol):
         raise DomainError("transformation needs no catalyst; it is already feasible")
-    n = q.dim
     psi = padded_array(q.psi, n)
     phi = padded_array(q.phi, n)
     big_m = cfg.big_number

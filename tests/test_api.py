@@ -1,13 +1,21 @@
-"""The public API contract: what ``catalocc`` exports, and the functions the
-traced benchmark run (``perfbench/tracing.py``) wraps by name."""
+"""The public API contract: what ``catalocc`` exports, the functions the
+traced benchmark run (``perfbench/tracing.py``) wraps by name, and the CLI
+lines the README documents."""
 
 import ast
 import importlib
+import re
+import shlex
 from pathlib import Path
 
-import catalocc
+import click
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import catalocc
+from catalocc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 REMOVED = (
     "sample_sorted_simplex",
     "exhaustive_catalyst_oracle",
@@ -46,3 +54,28 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"catalocc.{module}"), name, None))
     ]
     assert not missing
+
+
+def readme_cli_lines() -> list[str]:
+    """Every ``catalocc ...`` line of the shell block in the README's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("catalocc ")]
+
+
+def test_readme_cli_lines_parse():
+    """Each documented line names a real subcommand and real options, gives
+    every required parameter and nothing extra.  Only the parser runs, so
+    the files it names need not exist and no command is invoked."""
+    lines = readme_cli_lines()
+    assert len(lines) >= 9  # the block itself was found
+    for line in lines:
+        ctx = click.Context(main, info_name="catalocc")
+        _, rest, _ = main.make_parser(ctx).parse_args(shlex.split(line)[1:])
+        name, command, argv = main.resolve_command(ctx, rest)
+        sub = click.Context(command, info_name=name, parent=ctx)
+        values, extra, _ = command.make_parser(sub).parse_args(argv)
+        # an absent value parses to None or to click's unset marker, never to a string
+        missing = [p.name for p in command.params
+                   if p.required and not isinstance(values.get(p.name), str)]
+        assert not extra and not missing, (line, extra, missing)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from catalocc import search
 from catalocc.catalysis import MAX_RESOLUTION
 from catalocc.cli import main
 
@@ -32,6 +33,22 @@ def jp_files(tmp_path):
 
 def last_json(output: str) -> dict:
     return json.loads(output.strip().splitlines()[-1])
+
+
+def assert_input_error(result, fragment=""):
+    """Bad input: exit 2 through ``sys.exit`` with an ``error: ...`` line on
+    stderr, not an uncaught exception and its traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert fragment in result.stderr
+
+
+def catalyze_with_chi(runner, files, target, mode):
+    result = runner.invoke(
+        main, ["catalyze", files["psi"], files[target], "--chi", files["chi"], "--mode", mode]
+    )
+    return result.exit_code, last_json(result.output)
 
 
 class TestCheck:
@@ -99,32 +116,31 @@ class TestCheck:
 
 class TestCatalyze:
     def test_jp_standard_catalyst(self, runner, jp_files):
-        result = runner.invoke(
-            main,
-            ["catalyze", jp_files["psi"], jp_files["phi"],
-             "--chi", jp_files["chi"], "--mode", "standard"],
-        )
-        assert result.exit_code == 0
-        payload = last_json(result.output)
+        code, payload = catalyze_with_chi(runner, jp_files, "phi", "standard")
+        assert code == 0
+        assert payload["mode"] == "standard"
         assert payload["feasible"] is True
+        assert payload["catalyst"] == payload["residual"] == [0.6, 0.4]
         assert payload["classification"]["kind"] == "standard"
+        # the same chi as a general catalyst is consumed completely
+        code, payload = catalyze_with_chi(runner, jp_files, "phi", "general")
+        assert code == 0
+        assert payload["mode"] == "general"
+        assert payload["feasible"] is True
+        assert payload["catalyst"] == [0.6, 0.4]
+        assert payload["residual"] == [1.0, 0.0]
+        assert payload["classification"]["kind"] == "sub"
 
     def test_shifted_target_standard_fails_general_works(self, runner, jp_files):
-        standard = runner.invoke(
-            main,
-            ["catalyze", jp_files["psi"], jp_files["phi_shifted"],
-             "--chi", jp_files["chi"], "--mode", "standard"],
-        )
-        assert standard.exit_code == 1
-        general = runner.invoke(
-            main,
-            ["catalyze", jp_files["psi"], jp_files["phi_shifted"],
-             "--chi", jp_files["chi"], "--mode", "general"],
-        )
-        assert general.exit_code == 0
-        payload = last_json(general.output)
-        assert payload["feasible"] is True
-        assert payload["classification"]["kind"] == "sub"
+        code, standard = catalyze_with_chi(runner, jp_files, "phi_shifted", "standard")
+        assert code == 1
+        assert standard == {"mode": "standard", "feasible": False, "catalyst": [0.6, 0.4],
+                            "residual": None, "classification": None}
+        code, general = catalyze_with_chi(runner, jp_files, "phi_shifted", "general")
+        assert code == 0
+        assert general["feasible"] is True
+        assert general["residual"] == [1.0, 0.0]
+        assert general["classification"]["kind"] == "sub"
 
     def test_monte_carlo_search(self, runner, jp_files):
         result = runner.invoke(
@@ -156,7 +172,7 @@ class TestCatalyze:
         neither = runner.invoke(main, ["catalyze", jp_files["psi"], jp_files["phi"]])
         assert neither.exit_code == 2
         # invalid search settings are errors (exit 2), not "infeasible" (exit 1)
-        for bad in (["--k", "0"], ["--k", "2", "-M", "0"]):
+        for bad in (["--k", "0"], ["--k", "2", "-M", "0"], ["--k", "1025"]):
             result = runner.invoke(
                 main,
                 ["catalyze", jp_files["psi"], jp_files["phi"], "--mode", "standard", *bad],
@@ -171,6 +187,25 @@ class TestCatalyze:
             main, ["catalyze", psi, phi, "--k", "2", "--mode", "standard"]
         )
         assert result.exit_code == 2
+
+    def test_malformed_chi_file(self, runner, jp_files, tmp_path):
+        bad = tmp_path / "bad_chi.json"
+        bad.write_text("{not json")
+        result = runner.invoke(
+            main, ["catalyze", jp_files["psi"], jp_files["phi"], "--chi", str(bad)]
+        )
+        assert_input_error(result, "bad_chi.json: ")
+
+    def test_failed_recheck_is_an_internal_fault(self, runner, jp_files, monkeypatch):
+        # a certificate that fails the re-check is a bug, not bad input
+        monkeypatch.setattr(search, "_scalar_leq", lambda *args: False)
+        result = runner.invoke(
+            main,
+            ["--seed", "7", "catalyze", jp_files["psi"], jp_files["phi"],
+             "--k", "2", "--mode", "standard", "-M", "1000"],
+        )
+        assert isinstance(result.exception, RuntimeError)
+        assert result.exit_code != 2
 
 
 class TestRegion:
@@ -294,6 +329,53 @@ class TestGenpairsAndCurve:
         assert digest == manifest["outputs"]["pairs.jsonl"]
 
 
+class TestCurveInputErrors:
+    @pytest.fixture
+    def archive(self, runner, tmp_path):
+        out = tmp_path / "archive"
+        gen = runner.invoke(
+            main,
+            ["--seed", "41", "--out", str(out), "genpairs", "--n", "6", "--k", "3", "--count", "5"],
+        )
+        assert gen.exit_code == 0, gen.output
+        return out / "pairs.jsonl"
+
+    @pytest.mark.parametrize("m_values", ["x", "0"])
+    def test_bad_budgets(self, runner, archive, tmp_path, m_values):
+        result = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "curve", "--pairs", str(archive), "--k", "3",
+             "--m-values", m_values],
+        )
+        assert_input_error(result)
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_tampered_archive(self, runner, archive, tmp_path):
+        lines = archive.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["witness"] = [1.0, 0.0, 0.0]  # a product ancilla never catalyzes
+        lines[1] = json.dumps(record)
+        archive.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "curve", "--pairs", str(archive), "--k", "3"]
+        )
+        assert_input_error(result, "pairs.jsonl:2: invalid pair record")
+
+    def test_pairs_is_required(self, runner, tmp_path):
+        # a missing option is a usage error, reported by click itself
+        result = runner.invoke(main, ["--out", str(tmp_path), "curve", "--k", "3"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Missing option '--pairs'" in result.stderr
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_removed_generation_options(self, runner, archive):
+        for flag in ("--n", "--count"):
+            result = runner.invoke(main, ["curve", "--pairs", str(archive), flag, "5"])
+            assert result.exit_code == 2
+            assert f"No such option '{flag}'" in result.stderr
+
+
 class TestFixtures:
     def test_all_pass(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -318,3 +400,17 @@ class TestThreadsFlag:
             assert result.exit_code == 0
             outputs.append(last_json(result.output))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_an_error(self, runner, jp_files, threads):
+        result = runner.invoke(
+            main,
+            ["--threads", threads, "catalyze", jp_files["psi"], jp_files["phi"],
+             "--k", "2", "--mode", "standard", "-M", "100"],
+        )
+        assert_input_error(result, "--threads must be >= 1")
+
+
+def test_tolerance_out_of_range(runner, jp_files):
+    result = runner.invoke(main, ["--tol-major", "5", "check", jp_files["psi"], jp_files["phi"]])
+    assert_input_error(result, "eps_major")

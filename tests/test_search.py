@@ -187,6 +187,28 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             SearchConfig(k=2, big_number=0, seed=1)
 
+    def test_search_size_is_capped_before_any_draw(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def substream(*args):
+            raise Drawn
+
+        monkeypatch.setattr(search, "substream", substream)
+
+        def padded(n):  # the JP pair, zero-padded to length n
+            return TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * (n - 4)), JP_TARGET)
+
+        for query, k in ((JP, search.MAX_SEARCH_K + 1), (padded(65), search.MAX_SEARCH_K)):
+            with pytest.raises(DomainError, match="search too large"):
+                monte_carlo_standard_catalyst(query, SearchConfig(k=k, big_number=10, seed=1))
+        # k = MAX_SEARCH_K at n·k = MAX_SEARCH_NK is allowed: it reaches its first draw
+        assert 64 * search.MAX_SEARCH_K == search.MAX_SEARCH_NK
+        with pytest.raises(Drawn):
+            monte_carlo_standard_catalyst(
+                padded(64), SearchConfig(k=search.MAX_SEARCH_K, big_number=10, seed=1)
+            )
+
     def test_thread_pool_is_clamped(self, pool_sizes):
         seen = pool_sizes(search, cpus=3)
         for blocks in (5, 2):
