@@ -167,12 +167,12 @@ def general_catalyst_2x2(q: TransformQuery, x: float, tol: Tolerance = DEFAULT_T
     """Exact condition for (x, 1-x) to be a general catalyst of a 2x2 pair.
 
     For blocked 2x2 transformations (alpha1 > beta1) the single decisive
-    majorization inequality is alpha1 * x <= beta1, i.e. x <= beta1/alpha1.
-    Agrees with :func:`is_general_catalyst` on (x, 1-x) by construction.
+    majorization inequality is alpha1 * x <= beta1, tested in these partial-sum
+    units as :func:`is_general_catalyst` tests it, so the two agree by construction.
     """
     _require_2x2_blocked(q, tol)
     _check_x_range(x)
-    return x <= q.phi[0] / q.psi[0] + tol.eps_major
+    return q.psi[0] * x <= q.phi[0] + tol.eps_major
 
 
 def min_residual_2x2(q: TransformQuery, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -189,8 +189,6 @@ def min_residual_2x2(q: TransformQuery, x: float, tol: Tolerance = DEFAULT_TOL) 
         raise DomainError("both spectra must have length 2")
     if q.phi[1] <= 0.0:
         raise DegenerateTarget("target (1, 0) admits every source; no residual bound")
-    _require_2x2_blocked(q, tol)
-    _check_x_range(x)
     if not general_catalyst_2x2(q, x, tol):
         raise DomainError(f"(x, 1-x) with x={x!r} is not a catalyst for this pair")
     a1, a2 = q.psi[0], q.psi[1]
@@ -266,7 +264,7 @@ def general_catalyst_2to3(q: TransformQuery, x: float, tol: Tolerance = DEFAULT_
     a1 = q.psi[0]
     b1, b2 = q.phi[0], q.phi[1]
     eps = tol.eps_major
-    return a1 <= b1 + b2 + eps and x <= min(b1 / a1, b1 + b2) + eps
+    return a1 <= b1 + b2 + eps and a1 * x <= b1 + eps and x <= b1 + b2 + eps
 
 
 def is_time_reverse(

@@ -5,11 +5,11 @@ A thin shell over the library.  States are JSON files
 and converted to binary floats exactly once.  Commands print
 machine-readable JSON to stdout and use the exit-code contract
 0 = feasible / success, 1 = infeasible / failure, 2 = error.  Bad input is
-decided in one place, the group's error boundary: a ``ValueError`` or
-``CataloccError`` from any command prints ``error: ...`` and exits 2, while
-any other exception (an internal fault) keeps its traceback.  File-writing
-commands drop a run manifest next to each output so results can be
-reproduced from the manifest alone.
+decided in one place, the group's error boundary: a ``ValueError``,
+``CataloccError`` or click usage error anywhere prints one ``error: ...``
+line and exits 2; any other exception (an internal fault) keeps its
+traceback.  File-writing commands drop a run manifest next to each output
+so results can be reproduced from the manifest alone.
 """
 
 from __future__ import annotations
@@ -67,12 +67,20 @@ class RunSettings:
 class _Main(click.Group):
     """The one error boundary: bad input to any command exits 2."""
 
+    def make_context(self, *args, **kwargs) -> click.Context:
+        return _exit_on_bad_input(super().make_context, *args, **kwargs)
+
     def invoke(self, ctx: click.Context) -> object:
-        try:
-            return super().invoke(ctx)
-        except (ValueError, CataloccError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_ERROR)
+        return _exit_on_bad_input(super().invoke, ctx)
+
+
+def _exit_on_bad_input(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, CataloccError, click.UsageError) as exc:
+        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+        click.echo(f"error: {message}", err=True)
+        sys.exit(EXIT_ERROR)
 
 
 def _sha256(path: Path) -> str:
@@ -120,7 +128,7 @@ def _classification_json(cls: CatalystClass | None, tol: Tolerance) -> dict | No
     }
 
 
-@click.group(cls=_Main)
+@click.group(cls=_Main, no_args_is_help=False)
 @click.version_option(version=__version__, prog_name="catalocc")
 @click.option("--tol-major", type=float, default=1e-12, show_default=True,
               help="Slack for partial-sum comparisons.")

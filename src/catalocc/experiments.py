@@ -45,6 +45,7 @@ from .rng import CTX_CURVE, CTX_PAIRS, derive_seed, substream
 from .search import (
     SearchConfig,
     SearchStatus,
+    _chunk_rows,
     _scalar_leq,
     _simplex_points,
     general_catalyst_exists,
@@ -150,6 +151,7 @@ class PairGenSpec:
             raise ValueError("k must be >= 1")
         if self.k >= self.n:
             raise ValueError("catalyst dimension k must be smaller than n")
+        _chunk_rows(self.n, self.k)  # refuses n·k > MAX_PRODUCT_WIDTH
 
     @property
     def rejection_budget(self) -> int:
@@ -176,9 +178,9 @@ def generate_catalyzable_pairs(
     psi, phi are drawn from the sorted flat-Dirichlet distribution on the
     (n-1)-simplex and chi on the (k-1)-simplex; a triple is accepted iff
     psi does not convert to phi directly but psi ⊗ chi ≺ phi ⊗ chi.  Each
-    batch of candidates is tested by the spectrum kernel, and every accepted
-    pair is re-checked by a scalar prefix loop before it is returned
-    together with its witness chi.
+    batch of candidates has its own substream, drawn and tested by the
+    spectrum kernel one chunk at a time; every accepted pair is re-checked
+    by a scalar prefix loop before it is returned with its witness chi.
 
     Raises :class:`GenerationExhausted` when the rejection budget runs out
     or the measured acceptance rate falls below 1e-4 (e.g. for two-level
@@ -190,6 +192,7 @@ def generate_catalyzable_pairs(
     tried = 0
     batch_index = 0
     cols = 2 * n + k
+    chunk = _chunk_rows(n, k)
     while len(out) < spec.count:
         if tried >= spec.rejection_budget:
             raise GenerationExhausted(
@@ -203,26 +206,25 @@ def generate_catalyzable_pairs(
             )
         rng = substream(spec.seed, CTX_PAIRS, batch_index)
         batch_index += 1
-        u = rng.random((_GEN_BATCH, cols))
-        e = -np.log1p(-u)
-        psi_rows = _simplex_points(e[:, :n])
-        phi_rows = _simplex_points(e[:, n : 2 * n])
-        chi_rows = _simplex_points(e[:, 2 * n :])
-
-        blocked = first_violations(psi_rows, phi_rows, eps) > 0
-        assisted = first_violations(
-            product_spectra(psi_rows, chi_rows), product_spectra(phi_rows, chi_rows), eps
-        ) == 0
-        accepted = np.flatnonzero(blocked & assisted)
-        for idx in accepted:
-            psi = OscVector(tuple(float(v) for v in psi_rows[idx]))
-            phi = OscVector(tuple(float(v) for v in phi_rows[idx]))
-            chi = OscVector(tuple(float(v) for v in chi_rows[idx]))
-            query = TransformQuery(psi, phi)
-            _certify_pair(query, chi, tol)
-            out.append((query, chi))
+        for off in range(0, _GEN_BATCH, chunk):
             if len(out) == spec.count:
                 break
+            e = -np.log1p(-rng.random((min(chunk, _GEN_BATCH - off), cols)))
+            psi_rows = _simplex_points(e[:, :n])
+            phi_rows = _simplex_points(e[:, n : 2 * n])
+            chi_rows = _simplex_points(e[:, 2 * n :])
+
+            blocked = first_violations(psi_rows, phi_rows, eps) > 0
+            # held until the next chunk's rows exist, so their pages are not refaulted
+            lhs, rhs = product_spectra(psi_rows, chi_rows), product_spectra(phi_rows, chi_rows)
+            assisted = first_violations(lhs, rhs, eps) == 0
+            for idx in np.flatnonzero(blocked & assisted)[: spec.count - len(out)]:
+                psi = OscVector(tuple(float(v) for v in psi_rows[idx]))
+                phi = OscVector(tuple(float(v) for v in phi_rows[idx]))
+                chi = OscVector(tuple(float(v) for v in chi_rows[idx]))
+                query = TransformQuery(psi, phi)
+                _certify_pair(query, chi, tol)
+                out.append((query, chi))
         tried += _GEN_BATCH
     return out
 

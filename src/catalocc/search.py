@@ -52,18 +52,16 @@ __all__ = [
     "monte_carlo_standard_catalyst",
 ]
 
-# Trials per RNG substream.  Fixed: changing it would change the candidate
-# sequence and hence search outcomes.
+# Trials per RNG substream, drawn and tested one chunk at a time.  Fixed:
+# changing it would change the candidate sequence and hence search outcomes.
 TRIAL_BLOCK = 4096
 
-# Largest search accepted by monte_carlo_standard_catalyst.  A block draws
-# TRIAL_BLOCK x k uniforms at once and a chunk forms n·k-wide product rows,
-# so peak memory grows with k (about 64 KB per unit of k) and with n·k.
-MAX_SEARCH_K = 1024
-MAX_SEARCH_NK = 1 << 16
+# Widest product row a sampler forms: a search and pair generation both need
+# n·k <= MAX_PRODUCT_WIDTH, so one chunk of rows bounds their memory.
+MAX_PRODUCT_WIDTH = 1 << 16
 
-# Rows per evaluation batch are capped so the working set stays cache-sized;
-# this affects speed only, never verdicts.
+# Product elements per chunk, so the working set stays cache-sized; this
+# affects speed only, never verdicts.
 _EVAL_CHUNK_ELEMS = 1 << 16
 
 
@@ -99,6 +97,13 @@ class SearchOutcome:
     catalyst: Optional[OscVector]
     trials_used: int
     seed: int
+
+
+def _chunk_rows(n: int, k: int) -> int:
+    """Rows per chunk of n·k-wide product rows; refuses n·k > MAX_PRODUCT_WIDTH."""
+    if n * k > MAX_PRODUCT_WIDTH:
+        raise DomainError(f"search too large: n*k = {n * k} > {MAX_PRODUCT_WIDTH}")
+    return max(64, _EVAL_CHUNK_ELEMS // (n * k))
 
 
 def _sorted_simplex_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
@@ -183,15 +188,11 @@ def monte_carlo_standard_catalyst(
     the rest are cancelled on a hit, so the outcome is identical to the
     sequential run by the lowest-index rule.
 
-    Searches with k > :data:`MAX_SEARCH_K` or n·k > :data:`MAX_SEARCH_NK`
-    are refused with :class:`DomainError` before anything is drawn.
+    A block is drawn one chunk at a time, just before that chunk is tested;
+    n·k > :data:`MAX_PRODUCT_WIDTH` raises :class:`DomainError` before any draw.
     """
     n = q.dim
-    if cfg.k > MAX_SEARCH_K or n * cfg.k > MAX_SEARCH_NK:
-        raise DomainError(
-            f"search too large: k = {cfg.k} and n*k = {n * cfg.k}; "
-            f"the caps are k <= {MAX_SEARCH_K} and n*k <= {MAX_SEARCH_NK}"
-        )
+    chunk = _chunk_rows(n, cfg.k)
     tol = cfg.tol
     if locc_feasible(q, tol):
         raise DomainError("transformation needs no catalyst; it is already feasible")
@@ -199,18 +200,17 @@ def monte_carlo_standard_catalyst(
     phi = padded_array(q.phi, n)
     big_m = cfg.big_number
     nblocks = math.ceil(big_m / TRIAL_BLOCK)
-    chunk = max(64, _EVAL_CHUNK_ELEMS // (n * cfg.k))
 
     def scan_block(block: int) -> Optional[tuple[int, tuple[float, ...]]]:
         """Lowest feasible trial index in ``block`` and its candidate."""
         start = block * TRIAL_BLOCK
         rows = min(TRIAL_BLOCK, big_m - start)
-        chis = _sorted_simplex_rows(substream(cfg.seed, CTX_TRIALS, block), rows, cfg.k)
+        rng = substream(cfg.seed, CTX_TRIALS, block)
         for off in range(0, rows, chunk):
-            part = chis[off : off + chunk]
-            first = first_violations(
-                product_spectra(psi, part), product_spectra(phi, part), tol.eps_major
-            )
+            part = _sorted_simplex_rows(rng, min(chunk, rows - off), cfg.k)
+            # held until the next chunk's rows exist, so their pages are not refaulted
+            lhs, rhs = product_spectra(psi, part), product_spectra(phi, part)
+            first = first_violations(lhs, rhs, tol.eps_major)
             hits = np.flatnonzero(first == 0)
             if hits.size:
                 return start + off + int(hits[0]), tuple(part[hits[0]].tolist())

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's batched spectrum kernel:
 spectra come from naive full sorts of the outer product, majorization from
 a plain Python prefix-sum loop, minimal residuals from bisection on the
-direct predicate, and small feasibility questions from grid enumeration,
-including the grid oracle for standard catalysts of dimension 2 and 3.
+direct predicate, small feasibility questions from grid enumeration,
+including the grid oracle for standard catalysts of dimension 2 and 3, and
+the Monte Carlo search's first hit from whole-block candidate draws.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 import numpy as np
 
 from catalocc import DomainError, OscVector, TransformQuery
+from catalocc.rng import CTX_TRIALS, substream
+from catalocc.search import TRIAL_BLOCK, _sorted_simplex_rows
 
 
 def naive_tensor_spectrum(a, b) -> list[float]:
@@ -41,6 +44,20 @@ def direct_leq(lhs, rhs, eps: float = 1e-12) -> bool:
 def assisted_feasible(psi, phi, chi, chi_prime, eps: float = 1e-12) -> bool:
     """Direct check of psi ⊗ chi ≺ phi ⊗ chi' via naive spectra."""
     return direct_leq(naive_tensor_spectrum(psi, chi), naive_tensor_spectrum(phi, chi_prime), eps)
+
+
+def first_hit_whole_blocks(q: TransformQuery, k: int, big_m: int, seed: int):
+    """(index, chi) of the lowest trial below ``big_m`` that is a standard
+    catalyst, or None: the Monte Carlo search's candidates, each block drawn
+    whole from its substream and every row tested by the plain prefix loop."""
+    for block in range(math.ceil(big_m / TRIAL_BLOCK)):
+        start = block * TRIAL_BLOCK
+        rows = min(TRIAL_BLOCK, big_m - start)
+        chis = _sorted_simplex_rows(substream(seed, CTX_TRIALS, block), rows, k)
+        for i, chi in enumerate(chis.tolist()):
+            if assisted_feasible(q.psi, q.phi, chi, chi):
+                return start + i, tuple(chi)
+    return None
 
 
 def two_level_points(step: float):

@@ -124,6 +124,18 @@ class TestGeneralCatalyst2x2:
                 direct = is_general_catalyst(q, OscVector((float(x), float(1 - x)))).feasible
                 assert closed == direct
 
+    def test_agrees_with_kernel_in_tolerance_band(self):
+        # within eps_major above beta1/alpha1 the verdict turns on whether
+        # alpha1 * x is compared with beta1 (partial-sum units, as the
+        # kernel does) or x with beta1/alpha1
+        rng = np.random.default_rng(67)
+        for _ in range(1000):
+            q = random_blocked_2x2(rng)
+            for delta in (1.2e-12, 1.5e-12, 1.8e-12):
+                x = q.phi[0] / q.psi[0] + delta
+                direct = is_general_catalyst(q, OscVector((x, 1 - x))).feasible
+                assert general_catalyst_2x2(q, x) == direct
+
 
 class TestMinResidual2x2:
     def test_case_two_value(self):
@@ -178,6 +190,17 @@ class TestMinResidual2x2:
         q = TransformQuery(make_osc((0.8, 0.2)), make_osc((1.0, 0.0)))
         with pytest.raises(DegenerateTarget):
             min_residual_2x2(q, 0.6)
+        # error order: length, degenerate target, already feasible, x range
+        for query, x, error, match in (
+            (TransformQuery(make_osc((0.8, 0.2)), make_osc((1.0, 0.0, 0.0))), 0.4,
+             DomainError, "length 2"),
+            (q, 0.4, DegenerateTarget, "admits every source"),
+            (TransformQuery(make_osc((0.7, 0.3)), make_osc((0.8, 0.2))), 0.4,
+             DomainError, "already feasible"),
+            (PAIR_2X2, 0.4, DomainError, r"\[0.5, 1\]"),
+        ):
+            with pytest.raises(error, match=match):
+                min_residual_2x2(query, x)
 
 
 class TestCatalystBound3x3:
@@ -307,6 +330,20 @@ class TestGeneralCatalyst2to3:
             closed = general_catalyst_2to3(q, x)
             direct = is_general_catalyst(q, OscVector((x, 1.0 - x))).feasible
             assert closed == direct
+            tested += 1
+
+    def test_agrees_with_kernel_in_tolerance_band(self):
+        # the alpha1 * x <= beta1 term, probed just above beta1/alpha1
+        rng = np.random.default_rng(71)
+        tested = 0
+        while tested < 1000:
+            a1 = float(0.5 + 0.5 * rng.random())
+            q = TransformQuery(OscVector((a1, 1.0 - a1)), random_osc(rng, 3))
+            x = q.phi[0] / a1 + (1.2e-12, 1.5e-12, 1.8e-12)[tested % 3]
+            if locc_feasible(q) or not 0.5 <= x <= 1.0:
+                continue
+            direct = is_general_catalyst(q, OscVector((x, 1.0 - x))).feasible
+            assert general_catalyst_2to3(q, x) == direct
             tested += 1
 
     def test_shape_errors(self):

@@ -172,7 +172,7 @@ class TestCatalyze:
         neither = runner.invoke(main, ["catalyze", jp_files["psi"], jp_files["phi"]])
         assert neither.exit_code == 2
         # invalid search settings are errors (exit 2), not "infeasible" (exit 1)
-        for bad in (["--k", "0"], ["--k", "2", "-M", "0"], ["--k", "1025"]):
+        for bad in (["--k", "0"], ["--k", "2", "-M", "0"], ["--k", "16385"]):
             result = runner.invoke(
                 main,
                 ["catalyze", jp_files["psi"], jp_files["phi"], "--mode", "standard", *bad],
@@ -362,18 +362,15 @@ class TestCurveInputErrors:
         assert_input_error(result, "pairs.jsonl:2: invalid pair record")
 
     def test_pairs_is_required(self, runner, tmp_path):
-        # a missing option is a usage error, reported by click itself
+        # a missing option is a usage error, and usage errors are bad input too
         result = runner.invoke(main, ["--out", str(tmp_path), "curve", "--k", "3"])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "Missing option '--pairs'" in result.stderr
+        assert_input_error(result, "Missing option '--pairs'")
         assert not (tmp_path / "curve.csv").exists()
 
     def test_removed_generation_options(self, runner, archive):
         for flag in ("--n", "--count"):
             result = runner.invoke(main, ["curve", "--pairs", str(archive), flag, "5"])
-            assert result.exit_code == 2
-            assert f"No such option '{flag}'" in result.stderr
+            assert_input_error(result, f"No such option '{flag}'")
 
 
 class TestFixtures:
@@ -409,6 +406,42 @@ class TestThreadsFlag:
              "--k", "2", "--mode", "standard", "-M", "100"],
         )
         assert_input_error(result, "--threads must be >= 1")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            (["--threads", "x", "check", "PSI", "PHI"], "Invalid value for '--threads'"),
+            (["--bogus", "check", "PSI", "PHI"], "No such option '--bogus'"),
+            (["check", "PSI"], "Missing argument 'PHI_FILE'"),
+            (["nosuchcommand"], "No such command 'nosuchcommand'"),
+            ([], "Missing command"),
+        ],
+    )
+    def test_usage_errors_print_one_error_line(self, runner, jp_files, args, fragment):
+        args = [{"PSI": jp_files["psi"], "PHI": jp_files["phi"]}.get(a, a) for a in args]
+        result = runner.invoke(main, args)
+        assert_input_error(result, fragment)
+        assert "Usage:" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_help_and_version_still_exit_zero(self, runner):
+        for args in (["--help"], ["check", "--help"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            assert result.output.startswith("Usage: ")
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert "version" in result.output
+
+
+def test_genpairs_width_is_capped(runner, tmp_path):
+    result = runner.invoke(
+        main, ["--out", str(tmp_path), "genpairs", "--n", "512", "--k", "256", "--count", "1"]
+    )
+    assert_input_error(result, "search too large: n*k = 131072")
+    assert not (tmp_path / "pairs.jsonl").exists()
 
 
 def test_tolerance_out_of_range(runner, jp_files):

@@ -1,6 +1,8 @@
 """Tests for pair generation, the success curve, IO formats, and the fixture suite."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +51,21 @@ class TestPairGenSpec:
         assert PairGenSpec(seed=1, count=5000).rejection_budget == 10_000_000
         assert PairGenSpec(seed=1, count=10, max_rejections=77).rejection_budget == 77
 
+    def test_width_is_capped_before_any_draw(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def substream(*args):
+            raise Drawn
+
+        monkeypatch.setattr(experiments, "substream", substream)
+        with pytest.raises(DomainError, match="search too large"):
+            generate_catalyzable_pairs(PairGenSpec(seed=1, n=512, k=129, count=1))
+        # n·k = MAX_PRODUCT_WIDTH is allowed: it reaches its first draw
+        assert 512 * 128 == search.MAX_PRODUCT_WIDTH
+        with pytest.raises(Drawn):
+            generate_catalyzable_pairs(PairGenSpec(seed=1, n=512, k=128, count=1))
+
 
 class TestGeneratePairs:
     def test_certificates_hold(self):
@@ -67,6 +84,32 @@ class TestGeneratePairs:
         a = generate_catalyzable_pairs(small_spec())
         b = generate_catalyzable_pairs(small_spec())
         assert a == b
+
+    @pytest.mark.parametrize(
+        "seed, n, k, count, sha256",
+        [
+            (1, 8, 4, 200, "718040088df471cf2f0493c7c8f2331f1166a261447979d59b5e3c4281279310"),
+            (2, 32, 16, 20, "3309fb1f234c3b80dc068b8c90d9e29387855e52db84f492c42f6b868661e867"),
+        ],
+    )
+    def test_pinned_archives(self, tmp_path, seed, n, k, count, sha256):
+        # each batch is drawn and tested in chunks smaller than the batch
+        # (2,048 and 128 rows); the archives were pinned when a batch was
+        # drawn whole, so chunking must not move a single byte
+        pairs = generate_catalyzable_pairs(PairGenSpec(seed=seed, n=n, k=k, count=count))
+        path = write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs, seed=seed)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_memory_is_one_chunk_not_one_batch(self):
+        # 8,192 rows of 512-wide products took 147 MB when a batch was drawn whole
+        tracemalloc.start()
+        try:
+            spec = PairGenSpec(seed=1, n=32, k=16, count=1, max_rejections=8192)
+            generate_catalyzable_pairs(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_two_level_source_exhausts(self):
         # no standard catalyst exists for 2-dim sources; the rate guardrail

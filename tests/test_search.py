@@ -20,7 +20,12 @@ from catalocc import search
 from catalocc.experiments import JP_SOURCE, JP_TARGET, JP_TARGET_SHIFTED
 from catalocc.rng import CTX_TRIALS, substream
 from catalocc.search import TRIAL_BLOCK, _sorted_simplex_rows
-from oracles import exhaustive_catalyst_oracle, random_osc, standard_region_measure_2x2
+from oracles import (
+    exhaustive_catalyst_oracle,
+    first_hit_whole_blocks,
+    random_osc,
+    standard_region_measure_2x2,
+)
 
 JP = TransformQuery(JP_SOURCE, JP_TARGET)
 JP_SHIFTED = TransformQuery(JP_SOURCE, JP_TARGET_SHIFTED)
@@ -199,15 +204,37 @@ class TestMonteCarlo:
         def padded(n):  # the JP pair, zero-padded to length n
             return TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * (n - 4)), JP_TARGET)
 
-        for query, k in ((JP, search.MAX_SEARCH_K + 1), (padded(65), search.MAX_SEARCH_K)):
-            with pytest.raises(DomainError, match="search too large"):
+        with pytest.raises(DomainError, match="search too large"):
+            monte_carlo_standard_catalyst(padded(65), SearchConfig(k=1024, big_number=10, seed=1))
+        # n·k = MAX_PRODUCT_WIDTH is allowed, and so is any k within it:
+        # both reach their first draw
+        assert 64 * 1024 == search.MAX_PRODUCT_WIDTH
+        for query, k in ((padded(64), 1024), (JP, 2048)):
+            with pytest.raises(Drawn):
                 monte_carlo_standard_catalyst(query, SearchConfig(k=k, big_number=10, seed=1))
-        # k = MAX_SEARCH_K at n·k = MAX_SEARCH_NK is allowed: it reaches its first draw
-        assert 64 * search.MAX_SEARCH_K == search.MAX_SEARCH_NK
-        with pytest.raises(Drawn):
-            monte_carlo_standard_catalyst(
-                padded(64), SearchConfig(k=search.MAX_SEARCH_K, big_number=10, seed=1)
+
+    def test_chunked_draws_match_whole_block_draws(self):
+        # n·k = 512 gives 128-row chunks, so each block is drawn in 32 pieces;
+        # the seeds put the first hit in chunk 0, in chunk 1, later in block 0,
+        # and in block 1 (index 4911)
+        chunk = 128
+        assert search._chunk_rows(128, 4) == search._chunk_rows(64, 8) == chunk
+        budgets = (1, chunk, chunk + 1, TRIAL_BLOCK, TRIAL_BLOCK + 1)
+        for n, k, seed in ((128, 4, 7), (64, 8, 6), (64, 8, 2), (128, 4, 5)):
+            query = TransformQuery(
+                make_osc(JP_SOURCE.coeffs + (0.0,) * (n - 4)), JP_TARGET_SHIFTED
             )
+            for m in budgets:
+                outcome = monte_carlo_standard_catalyst(
+                    query, SearchConfig(k=k, big_number=m, seed=seed)
+                )
+                hit = first_hit_whole_blocks(query, k, m, seed)
+                if hit is None:
+                    assert outcome.status is SearchStatus.FAILURE
+                    assert outcome.trials_used == m
+                else:
+                    assert outcome.status is SearchStatus.SUCCESS
+                    assert (outcome.trials_used, outcome.catalyst.coeffs) == (hit[0] + 1, hit[1])
 
     def test_thread_pool_is_clamped(self, pool_sizes):
         seen = pool_sizes(search, cpus=3)
