@@ -23,6 +23,7 @@ from .core import (
     OscVector,
     Relation,
     Tolerance,
+    _chunk_rows,
     entropy_bits,
     first_violations,
     majorizes_check,
@@ -47,8 +48,8 @@ __all__ = [
     "mutual_region_scan",
 ]
 
-# Largest grid accepted by mutual_region_scan; its memory grows with
-# resolution**2 (about 100 MB at resolution 2000).
+# Largest grid accepted by mutual_region_scan; its masks grow with
+# resolution**2 (about 45 MB traced at resolution 2000).
 MAX_RESOLUTION = 4000
 
 
@@ -226,10 +227,12 @@ def subcatalyst_forced(
     """Must every 2- or 3-dim catalyst of this pair consume entanglement?
 
     True when alpha1 > beta1 and alpha_n < beta_n (n the common padded
-    length, entries compared literally, trailing zeros included): the top
-    product inequality then forces chi strictly below chi' in the
-    majorization order, so E(chi) > E(chi').  False means only that this
-    criterion is silent, not that a standard catalyst exists.
+    length, entries compared literally, trailing zeros included) and chi is
+    strictly below chi' in the majorization order, so E(chi) > E(chi').
+    Beyond the ``eps_major`` band the top product inequality forces the
+    latter; inside it (alpha1 - beta1 of order eps_major) chi' = chi can
+    itself be feasible, and the answer is False.  False means only that
+    this criterion is silent, not that a standard catalyst exists.
     """
     if len(chi) != len(chi_prime) or len(chi) not in (2, 3):
         raise DomainError("chi and chi' must both have length 2 or both length 3")
@@ -240,13 +243,7 @@ def subcatalyst_forced(
     b = padded_array(q.phi, n)
     if not (a[0] > b[0] and a[n - 1] < b[n - 1]):
         return False
-    witness = majorizes_check(chi, chi_prime, tol)
-    if witness.relation is not Relation.MAJORIZED_BY:
-        raise RuntimeError(
-            "internal inconsistency: hypothesis held but chi is not strictly "
-            f"majorized by chi' (got {witness.relation})"
-        )
-    return True
+    return majorizes_check(chi, chi_prime, tol).relation is Relation.MAJORIZED_BY
 
 
 def general_catalyst_2to3(q: TransformQuery, x: float, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -276,7 +273,10 @@ def is_time_reverse(
     """True iff the spectra of psi ⊗ chi and phi ⊗ chi' coincide elementwise.
 
     Coinciding product spectra make the assisted transformation reversible:
-    each side converts to the other under LOCC.
+    each side converts to the other under LOCC.  Here ``eps_major`` bounds
+    each entry's difference, not a partial sum's as in the majorization
+    tests, so matching spectra of width m may differ by up to m times it in
+    their partial sums.
     """
     lhs, rhs = _assisted_spectra(q, chi, chi_prime)
     return bool(np.all(np.abs(lhs - rhs) <= tol.eps_major))
@@ -327,9 +327,10 @@ def mutual_region_scan(
     :func:`catalocc.experiments.mutual_demo_inequalities` are cross-checks
     for specific inputs.
 
-    All valid cells form one batch of the spectrum kernel, so each verdict
-    is bitwise the one :func:`majorizes_check` gives for that cell.
-    ``resolution`` may not exceed :data:`MAX_RESOLUTION`.
+    Valid cells go through the spectrum kernel in chunks of the samplers'
+    cache-sized row count, so each verdict is bitwise the one
+    :func:`majorizes_check` gives for that cell.  ``resolution`` may not
+    exceed :data:`MAX_RESOLUTION`.
     """
     if len(psi) != 3 or len(phi) != 3 or len(chi) != 3:
         raise DomainError("psi, phi and chi must all have length 3")
@@ -345,11 +346,11 @@ def mutual_region_scan(
 
     cells = np.zeros((resolution, resolution), dtype=bool)
     ii, jj = np.nonzero(valid)
-    if ii.size:
-        residuals = np.stack(
-            [centers[ii], centers[jj], 1.0 - centers[ii] - centers[jj]], axis=1
-        )
+    chunk = _chunk_rows(3, 3)
+    for off in range(0, ii.size, chunk):
+        i, j = ii[off:off + chunk], jj[off:off + chunk]
+        residuals = np.stack([centers[i], centers[j], 1.0 - centers[i] - centers[j]], axis=1)
         rhs = product_spectra(phi.as_array(), residuals)
-        cells[ii, jj] = first_violations(lhs, rhs, tol.eps_major) == 0
+        cells[i, j] = first_violations(lhs, rhs, tol.eps_major) == 0
     return RegionGrid(resolution=resolution, cells=cells, constraint_mask=valid)
 

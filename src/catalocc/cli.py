@@ -3,13 +3,14 @@
 A thin shell over the library.  States are JSON files
 {"name": ..., "coeffs": [...]}; coefficients are read as decimal literals
 and converted to binary floats exactly once.  Commands print
-machine-readable JSON to stdout and use the exit-code contract
-0 = feasible / success, 1 = infeasible / failure, 2 = error.  Bad input is
-decided in one place, the group's error boundary: a ``ValueError``,
-``CataloccError`` or click usage error anywhere prints one ``error: ...``
-line and exits 2; any other exception (an internal fault) keeps its
-traceback.  File-writing commands drop a run manifest next to each output
-so results can be reproduced from the manifest alone.
+machine-readable JSON under the exit-code contract 0 = feasible / success,
+1 = infeasible / failure, 2 = error, which the group alone applies: a
+command returns ``(answer, feasible)``, and the group prints the answer as
+the last stdout line and exits 0 or 1.  A ``ValueError``,
+``CataloccError``, ``OSError`` or click usage error anywhere prints one
+``error: ...`` line and exits 2; any other exception (an internal fault)
+keeps its traceback.  File-writing commands drop a run manifest next to
+each output so results can be reproduced from the manifest alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -55,6 +57,9 @@ EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
 
+# What a command returns: its JSON answer, and whether it is feasible (exit 0).
+Answer = tuple[dict, bool]
+
 
 @dataclass
 class RunSettings:
@@ -65,27 +70,29 @@ class RunSettings:
 
 
 class _Main(click.Group):
-    """The one error boundary: bad input to any command exits 2."""
+    """The one exit door: bad input to any command exits 2, and a command's
+    ``(answer, feasible)`` prints as one JSON line and exits 0 or 1."""
 
     def make_context(self, *args, **kwargs) -> click.Context:
         return _exit_on_bad_input(super().make_context, *args, **kwargs)
 
-    def invoke(self, ctx: click.Context) -> object:
-        return _exit_on_bad_input(super().invoke, ctx)
+    def invoke(self, ctx: click.Context) -> NoReturn:
+        answer, feasible = _exit_on_bad_input(super().invoke, ctx)
+        click.echo(json.dumps(answer))
+        sys.exit(EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE)
 
 
 def _exit_on_bad_input(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
-    except (ValueError, CataloccError, click.UsageError) as exc:
+    except (ValueError, CataloccError, OSError, click.UsageError) as exc:
         message = exc.format_message() if isinstance(exc, click.UsageError) else exc
         click.echo(f"error: {message}", err=True)
         sys.exit(EXIT_ERROR)
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _load_state(path: str, tol: Tolerance) -> tuple[str, OscVector]:
@@ -155,12 +162,12 @@ def main(ctx: click.Context, tol_major: float, tol_norm: float, seed: int,
 @click.argument("psi_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("phi_file", type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
-def check(settings: RunSettings, psi_file: str, phi_file: str) -> None:
+def check(settings: RunSettings, psi_file: str, phi_file: str) -> Answer:
     """Decide direct LOCC convertibility of PSI_FILE into PHI_FILE."""
     psi_name, psi = _load_state(psi_file, settings.tol)
     phi_name, phi = _load_state(phi_file, settings.tol)
     verdict = majorizes_check(psi, phi, settings.tol)
-    click.echo(json.dumps({
+    return {
         "psi": psi_name,
         "phi": phi_name,
         "relation": verdict.relation.value,
@@ -168,8 +175,7 @@ def check(settings: RunSettings, psi_file: str, phi_file: str) -> None:
         "feasible": verdict.feasible,
         "psi_partial_sums": list(partial_sums(psi)),
         "phi_partial_sums": list(partial_sums(phi)),
-    }))
-    sys.exit(EXIT_FEASIBLE if verdict.feasible else EXIT_INFEASIBLE)
+    }, verdict.feasible
 
 
 @main.command()
@@ -184,7 +190,7 @@ def check(settings: RunSettings, psi_file: str, phi_file: str) -> None:
               show_default=True, help="Monte Carlo trial budget (standard mode with --k).")
 @click.pass_obj
 def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
-             chi_file: str | None, k: int | None, mode: str, big_number: int) -> None:
+             chi_file: str | None, k: int | None, mode: str, big_number: int) -> Answer:
     """Test a given catalyst, or search/decide for a k x k one."""
     if (chi_file is None) == (k is None):
         raise ValueError("provide exactly one of --chi FILE or --k K")
@@ -201,21 +207,19 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
             cls = classify_catalyst(query, chi, residual, tol)
         except NotACatalyst:
             residual = cls = None
-        click.echo(json.dumps({
+        return {
             "mode": mode,
             "feasible": cls is not None,
             "catalyst": list(chi),
             "residual": list(residual) if residual is not None else None,
             "classification": _classification_json(cls, tol),
-        }))
-        sys.exit(EXIT_FEASIBLE if cls is not None else EXIT_INFEASIBLE)
+        }, cls is not None
     if mode == "general":
         exists = general_catalyst_exists(query, k, tol)
-        click.echo(json.dumps({"mode": mode, "k": k, "exists": exists}))
-        sys.exit(EXIT_FEASIBLE if exists else EXIT_INFEASIBLE)
+        return {"mode": mode, "k": k, "exists": exists}, exists
     cfg = SearchConfig(k=k, big_number=big_number, seed=settings.seed, tol=tol)
     outcome = monte_carlo_standard_catalyst(query, cfg, workers=settings.threads)
-    click.echo(json.dumps({
+    return {
         "mode": mode,
         "k": k,
         "status": outcome.status.value,
@@ -223,8 +227,7 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
         "trials_used": outcome.trials_used,
         "big_number": big_number,
         "seed": outcome.seed,
-    }))
-    sys.exit(EXIT_FEASIBLE if outcome.status is SearchStatus.SUCCESS else EXIT_INFEASIBLE)
+    }, outcome.status is SearchStatus.SUCCESS
 
 
 @main.command()
@@ -235,27 +238,22 @@ def catalyze(settings: RunSettings, psi_file: str, phi_file: str,
               help="Grid cells per axis.")
 @click.pass_obj
 def region(settings: RunSettings, psi_file: str, phi_file: str, chi_file: str,
-           resolution: int) -> None:
+           resolution: int) -> Answer:
     """Scan the residual simplex for mutual-catalysis feasibility."""
     _, psi = _load_state(psi_file, settings.tol)
     _, phi = _load_state(phi_file, settings.tol)
     _, chi = _load_state(chi_file, settings.tol)
     grid = mutual_region_scan(psi, phi, chi, resolution, settings.tol)
     csv_path = write_region_csv(settings.out / "region.csv", grid)
-    _write_manifest(
-        settings,
-        "region",
-        {"resolution": resolution, "psi": list(psi), "phi": list(phi), "chi": list(chi)},
-        {"psi": Path(psi_file), "phi": Path(phi_file), "chi": Path(chi_file)},
-        [csv_path],
-    )
-    click.echo(json.dumps({
+    params = {"resolution": resolution, "psi": list(psi), "phi": list(phi), "chi": list(chi)}
+    inputs = {"psi": Path(psi_file), "phi": Path(phi_file), "chi": Path(chi_file)}
+    _write_manifest(settings, "region", params, inputs, [csv_path])
+    return {
         "resolution": resolution,
         "valid_cells": grid.valid_count,
         "feasible_cells": grid.feasible_count,
         "csv": str(csv_path),
-    }))
-    sys.exit(EXIT_FEASIBLE if grid.feasible_count else EXIT_INFEASIBLE)
+    }, grid.feasible_count > 0
 
 
 @main.command()
@@ -266,20 +264,14 @@ def region(settings: RunSettings, psi_file: str, phi_file: str, chi_file: str,
               help="Candidate budget for rejection sampling.")
 @click.pass_obj
 def genpairs(settings: RunSettings, n: int, k: int, count: int,
-             max_rejections: int | None) -> None:
+             max_rejections: int | None) -> Answer:
     """Generate state pairs that certifiably admit a k x k standard catalyst."""
     spec = PairGenSpec(seed=settings.seed, n=n, k=k, count=count, max_rejections=max_rejections)
     pairs = generate_catalyzable_pairs(spec, settings.tol)
     jsonl = write_pairs_jsonl(settings.out / "pairs.jsonl", pairs, settings.seed)
-    _write_manifest(
-        settings,
-        "genpairs",
-        {"n": n, "k": k, "count": count, "max_rejections": spec.rejection_budget},
-        {},
-        [jsonl],
-    )
-    click.echo(json.dumps({"count": len(pairs), "jsonl": str(jsonl)}))
-    sys.exit(EXIT_FEASIBLE)
+    params = {"n": n, "k": k, "count": count, "max_rejections": spec.rejection_budget}
+    _write_manifest(settings, "genpairs", params, {}, [jsonl])
+    return {"count": len(pairs), "jsonl": str(jsonl)}, True
 
 
 @main.command()
@@ -289,7 +281,7 @@ def genpairs(settings: RunSettings, n: int, k: int, count: int,
 @click.option("--m-values", default="1,5,10,25,50,100", show_default=True,
               help="Comma-separated trial budgets.")
 @click.pass_obj
-def curve(settings: RunSettings, pairs_file: str, k: int, m_values: str) -> None:
+def curve(settings: RunSettings, pairs_file: str, k: int, m_values: str) -> Answer:
     """Success probability of the Monte Carlo search as a function of budget."""
     ms = [int(v) for v in m_values.split(",") if v.strip()]
     pairs = load_pairs_jsonl(pairs_file, settings.tol)
@@ -297,40 +289,29 @@ def curve(settings: RunSettings, pairs_file: str, k: int, m_values: str) -> None
         pairs, k, ms, settings.seed, settings.tol, workers=settings.threads
     )
     csv_path = write_curve_csv(settings.out / "curve.csv", points)
-    _write_manifest(
-        settings,
-        "curve",
-        {"k": k, "m_values": ms, "pairs_file": pairs_file},
-        {"pairs": Path(pairs_file)},
-        [csv_path],
-    )
-    click.echo(json.dumps({
+    params = {"k": k, "m_values": ms, "pairs_file": pairs_file}
+    _write_manifest(settings, "curve", params, {"pairs": Path(pairs_file)}, [csv_path])
+    return {
         "points": [{"M": p.big_number, "success_fraction": p.success_fraction} for p in points],
         "pairs": points[0].pairs if points else 0,
         "csv": str(csv_path),
-    }))
-    sys.exit(EXIT_FEASIBLE)
+    }, True
 
 
 @main.command()
 @click.pass_obj
-def fixtures(settings: RunSettings) -> None:
+def fixtures(settings: RunSettings) -> Answer:
     """Run the bundled worked-example regression suite."""
     report = reference_suite(settings.tol)
     for result in report.results:
         status = "PASS" if result.passed else "FAIL"
         click.echo(f"{status} {result.name}: {result.details}")
     json_path = settings.out / "fixtures.json"
-    json_path.write_text(
-        json.dumps(
-            [dataclasses.asdict(r) for r in report.results], indent=2
-        ) + "\n",
-        encoding="utf-8",
-    )
+    rows = [dataclasses.asdict(r) for r in report.results]
+    json_path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     _write_manifest(settings, "fixtures", {}, {}, [json_path])
-    click.echo(json.dumps({"passed": report.passed, "total": len(report.results),
-                           "failures": len(report.failures)}))
-    sys.exit(EXIT_FEASIBLE if report.passed else EXIT_INFEASIBLE)
+    return {"passed": report.passed, "total": len(report.results),
+            "failures": len(report.failures)}, report.passed
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NegativeEntry, NotNormalized, TargetTooSmall
+from .errors import DomainError, NegativeEntry, NotNormalized, TargetTooSmall
 
 __all__ = [
     "Tolerance",
@@ -212,6 +212,23 @@ def padded_array(v: OscVector, n: int) -> np.ndarray:
     arr = np.zeros(n, dtype=np.float64)
     arr[: len(v)] = v.coeffs
     return arr
+
+
+# Widest product row a sampler forms: a search and pair generation both need
+# n·k <= MAX_PRODUCT_WIDTH, so one chunk of rows bounds their memory (and the
+# region scan's, whose rows are 3·3 wide).
+MAX_PRODUCT_WIDTH = 1 << 16
+
+# Product elements per chunk, so the working set stays cache-sized; this
+# affects speed only, never verdicts.
+_EVAL_CHUNK_ELEMS = 1 << 16
+
+
+def _chunk_rows(n: int, k: int) -> int:
+    """Rows per chunk of n·k-wide product rows; refuses n·k > MAX_PRODUCT_WIDTH."""
+    if n * k > MAX_PRODUCT_WIDTH:
+        raise DomainError(f"search too large: n*k = {n * k} > {MAX_PRODUCT_WIDTH}")
+    return max(64, _EVAL_CHUNK_ELEMS // (n * k))
 
 
 def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:

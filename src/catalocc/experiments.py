@@ -33,6 +33,7 @@ from .core import (
     OscVector,
     Relation,
     Tolerance,
+    _chunk_rows,
     first_violations,
     majorizes_check,
     make_osc,
@@ -45,7 +46,6 @@ from .rng import CTX_CURVE, CTX_PAIRS, derive_seed, substream
 from .search import (
     SearchConfig,
     SearchStatus,
-    _chunk_rows,
     _scalar_leq,
     _simplex_points,
     general_catalyst_exists,

@@ -34,8 +34,10 @@ import numpy as np
 from .catalysis import TransformQuery, locc_feasible
 from .core import (
     DEFAULT_TOL,
+    MAX_PRODUCT_WIDTH,
     OscVector,
     Tolerance,
+    _chunk_rows,
     first_violations,
     padded_array,
     product_spectra,
@@ -55,14 +57,6 @@ __all__ = [
 # Trials per RNG substream, drawn and tested one chunk at a time.  Fixed:
 # changing it would change the candidate sequence and hence search outcomes.
 TRIAL_BLOCK = 4096
-
-# Widest product row a sampler forms: a search and pair generation both need
-# n·k <= MAX_PRODUCT_WIDTH, so one chunk of rows bounds their memory.
-MAX_PRODUCT_WIDTH = 1 << 16
-
-# Product elements per chunk, so the working set stays cache-sized; this
-# affects speed only, never verdicts.
-_EVAL_CHUNK_ELEMS = 1 << 16
 
 
 class SearchStatus(Enum):
@@ -97,13 +91,6 @@ class SearchOutcome:
     catalyst: Optional[OscVector]
     trials_used: int
     seed: int
-
-
-def _chunk_rows(n: int, k: int) -> int:
-    """Rows per chunk of n·k-wide product rows; refuses n·k > MAX_PRODUCT_WIDTH."""
-    if n * k > MAX_PRODUCT_WIDTH:
-        raise DomainError(f"search too large: n*k = {n * k} > {MAX_PRODUCT_WIDTH}")
-    return max(64, _EVAL_CHUNK_ELEMS // (n * k))
 
 
 def _sorted_simplex_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
@@ -156,18 +143,19 @@ def general_catalyst_exists(q: TransformQuery, k: int, tol: Tolerance = DEFAULT_
     """Decide whether *any* k x k general catalyst exists for psi -> phi.
 
     It suffices to test a maximally entangled ancilla with complete
-    consumption: psi ⊗ (1/k, ..., 1/k) ≺ phi (zero-padded to n·k), which
-    is the spectrum kernel's batch-of-one case.  For k >= n the answer is
-    always yes (a maximally entangled state converts to everything of its
-    dimension), so no n·k product is formed there.
+    consumption: psi ⊗ (1/k, ..., 1/k) ≺ phi (zero-padded to n·k).  That
+    product spectrum is each psi_i/k repeated k times, already sorted, so
+    one O(n·k) pass forms it, bit for bit what the sorting kernel gives.
+    For k >= n the answer is always yes (a maximally entangled state
+    converts to everything of its dimension), so no n·k product is formed.
     """
     if k < 1:
         raise DomainError("catalyst dimension k must be >= 1")
     n = q.dim
     if k >= n:
         return True
-    lhs = product_spectra(padded_array(q.psi, n), np.full(k, 1.0 / k))
-    return not first_violations(lhs, padded_array(q.phi, n * k), tol.eps_major)[0]
+    lhs = np.repeat(padded_array(q.psi, n) * (1.0 / k), k)
+    return not first_violations(lhs, padded_array(q.phi, n * k), tol.eps_major)
 
 
 def monte_carlo_standard_catalyst(

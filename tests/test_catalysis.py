@@ -1,8 +1,11 @@
 """Tests for catalyst predicates, closed-form conditions, and the region scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from catalocc import catalysis
 from catalocc import (
     CatalystKind,
     DegenerateTarget,
@@ -269,6 +272,14 @@ class TestSubcatalystForced:
             found += 1
         assert found == 25
 
+    def test_tolerance_band_is_silent(self):
+        # alpha1 > beta1 and alpha2 < beta2 hold literally, but only by 1e-13,
+        # inside eps_major, where chi' = chi is itself a feasible residual
+        q = TransformQuery(OscVector((0.5 + 1e-13, 0.5 - 1e-13)), OscVector((0.5, 0.5)))
+        chi = OscVector((0.6, 0.4))
+        assert assisted_feasible(q.psi, q.phi, chi, chi)
+        assert subcatalyst_forced(q, chi, chi) is False
+
     def test_wrong_dimensions(self):
         with pytest.raises(DomainError):
             subcatalyst_forced(JP, JP_CATALYST, OscVector((0.5, 0.3, 0.2)))
@@ -430,6 +441,25 @@ class TestMutualRegionScan:
                 assert grid.cells[i, j] == (
                     direct.relation in (Relation.MAJORIZED_BY, Relation.EQUIVALENT)
                 )
+
+    @pytest.mark.parametrize("chunk", [1, 1000, 7281])
+    def test_chunks_match_one_batch(self, monkeypatch, chunk):
+        # resolution 400 has 13,333 valid cells: several chunks, a short last one
+        one_batch = mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 400)
+        monkeypatch.setattr(catalysis, "_chunk_rows", lambda n, k: chunk)
+        grid = mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 400)
+        assert np.array_equal(grid.cells, one_batch.cells)
+        assert np.array_equal(grid.constraint_mask, one_batch.constraint_mask)
+
+    def test_memory_is_chunked(self):
+        # all 333,333 valid cells in one kernel batch traced 99.6 MB
+        tracemalloc.start()
+        try:
+            mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
 
     def test_wrong_shapes(self):
         with pytest.raises(DomainError):

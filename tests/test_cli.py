@@ -447,3 +447,70 @@ def test_genpairs_width_is_capped(runner, tmp_path):
 def test_tolerance_out_of_range(runner, jp_files):
     result = runner.invoke(main, ["--tol-major", "5", "check", jp_files["psi"], jp_files["phi"]])
     assert_input_error(result, "eps_major")
+
+
+class TestOSErrors:
+    """An output path the OS refuses is bad input: one line, exit 2, no manifest."""
+
+    @pytest.fixture
+    def demo_files(self, tmp_path):
+        return [
+            write_state(tmp_path, "psi3", (0.5, 0.26, 0.24)),
+            write_state(tmp_path, "phi3", (0.49, 0.48, 0.03)),
+            write_state(tmp_path, "chi3", (0.62, 0.3, 0.08)),
+        ]
+
+    def test_out_under_a_regular_file(self, runner, jp_files, tmp_path):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        result = runner.invoke(main, ["--out", str(out), "check", jp_files["psi"], jp_files["phi"]])
+        assert_input_error(result, "Not a directory")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_region_csv_is_a_directory(self, runner, demo_files, tmp_path):
+        (tmp_path / "o" / "region.csv").mkdir(parents=True)
+        result = runner.invoke(
+            main, ["--out", str(tmp_path / "o"), "region", *demo_files, "--resolution", "10"]
+        )
+        assert_input_error(result, "Is a directory")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "o" / "region.manifest.json").exists()
+
+    def test_pairs_jsonl_is_a_directory(self, runner, tmp_path):
+        (tmp_path / "g" / "pairs.jsonl").mkdir(parents=True)
+        result = runner.invoke(
+            main, ["--out", str(tmp_path / "g"), "genpairs", "--n", "6", "--k", "3", "--count", "5"]
+        )
+        assert_input_error(result, "Is a directory")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "g" / "genpairs.manifest.json").exists()
+
+
+def test_readme_session_ends_each_command_with_its_answer(runner, jp_files, tmp_path):
+    """Each command of the README session prints its JSON answer as the last
+    stdout line and exits 0 or 1 by it; only ``fixtures`` prints lines before
+    it.  Region and pair counts are smaller than the README's to keep this fast."""
+    psi, phi, chi = jp_files["psi"], jp_files["phi"], jp_files["chi"]
+    demo = [write_state(tmp_path, name, coeffs) for name, coeffs in (
+        ("psi3", (0.5, 0.26, 0.24)), ("phi3", (0.49, 0.48, 0.03)), ("chi3", (0.62, 0.3, 0.08)))]
+    out = str(tmp_path / "results")
+    session = [
+        (["check", psi, phi], 1),
+        (["catalyze", psi, phi, "--chi", chi, "--mode", "standard"], 0),
+        (["catalyze", psi, phi, "--chi", chi, "--mode", "general"], 0),
+        (["catalyze", psi, phi, "--k", "2", "--mode", "general"], 0),
+        (["--seed", "7", "catalyze", psi, phi, "--k", "2", "--mode", "standard", "-M", "1000"], 0),
+        (["--out", out, "region", *demo, "--resolution", "100"], 0),
+        (["--seed", "41", "--out", out, "genpairs", "--n", "8", "--k", "4", "--count", "50"], 0),
+        (["--seed", "41", "--out", out, "curve", "--pairs", f"{out}/pairs.jsonl", "--k", "4"], 0),
+        (["--out", out, "fixtures"], 0),
+    ]
+    for args, code in session:
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, (args, result.output)
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert result.stdout == "\n".join(lines) + "\n"
+        assert isinstance(json.loads(lines[-1]), dict)
+        before = ["PASS"] * 13 if args[-1] == "fixtures" else []
+        assert [line.split(" ")[0] for line in lines[:-1]] == before

@@ -67,6 +67,22 @@ class TestGeneralCatalystExists:
 
             assert got == (expected or locc_feasible(q))
 
+    def test_ties_and_trailing_zeros(self):
+        # integer weights give tied entries and zero tails on both sides
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            psi, phi = (
+                make_osc((w / w.sum()).tolist())
+                for w in (rng.integers(0, 3, n) + np.eye(n)[0] for _ in range(2))
+            )
+            q = TransformQuery(psi, phi)
+            for k in range(1, n):
+                expected = majorizes_check(
+                    tensor_spectrum(psi, OscVector.maximally_entangled(k)), phi
+                ).feasible
+                assert general_catalyst_exists(q, k) == expected
+
 
 class TestSampleSortedSimplex:
     def test_degenerate_k1(self):
