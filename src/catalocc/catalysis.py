@@ -48,8 +48,8 @@ __all__ = [
     "mutual_region_scan",
 ]
 
-# Largest grid accepted by mutual_region_scan; its masks grow with
-# resolution**2 (about 45 MB traced at resolution 2000).
+# Largest grid accepted by mutual_region_scan; its two boolean masks grow
+# with resolution**2 (about 11 MB traced at resolution 2000).
 MAX_RESOLUTION = 4000
 
 
@@ -95,9 +95,11 @@ class RegionGrid:
     constraint_mask: np.ndarray
 
     def cell_index(self, x1p: float, x2p: float) -> tuple[int, int]:
-        i = min(int(x1p * self.resolution), self.resolution - 1)
-        j = min(int(x2p * self.resolution), self.resolution - 1)
-        return i, j
+        """Cell holding (x1', x2'), each in [0, 1] (else DomainError); 1 is in the last cell."""
+        if not (0.0 <= x1p <= 1.0 and 0.0 <= x2p <= 1.0):
+            raise DomainError(f"residual coordinates must lie in [0, 1], got ({x1p!r}, {x2p!r})")
+        last = self.resolution - 1
+        return min(int(x1p * self.resolution), last), min(int(x2p * self.resolution), last)
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         return (i + 0.5) / self.resolution, (j + 0.5) / self.resolution
@@ -298,17 +300,10 @@ def classify_catalyst(
     lhs, rhs = _assisted_spectra(q, chi, chi_prime)
     if first_violations(lhs, rhs, tol.eps_major):
         raise NotACatalyst("psi ⊗ chi does not convert to phi ⊗ chi'")
-    before = entropy_bits(chi)
-    after = entropy_bits(chi_prime)
+    cls = CatalystClass(CatalystKind.TIME_REVERSE, entropy_bits(chi), entropy_bits(chi_prime))
     if np.all(np.abs(lhs - rhs) <= tol.eps_major):
-        kind = CatalystKind.TIME_REVERSE
-    elif abs(before - after) <= tol.eps_entropy:
-        kind = CatalystKind.STANDARD
-    elif before > after:
-        kind = CatalystKind.SUB
-    else:
-        kind = CatalystKind.SUPER
-    return CatalystClass(kind=kind, entropy_before=before, entropy_after=after)
+        return cls
+    return CatalystClass(cls.entropy_label(tol.eps_entropy), cls.entropy_before, cls.entropy_after)
 
 
 def mutual_region_scan(
@@ -327,10 +322,10 @@ def mutual_region_scan(
     :func:`catalocc.experiments.mutual_demo_inequalities` are cross-checks
     for specific inputs.
 
-    Valid cells go through the spectrum kernel in chunks of the samplers'
-    cache-sized row count, so each verdict is bitwise the one
-    :func:`majorizes_check` gives for that cell.  ``resolution`` may not
-    exceed :data:`MAX_RESOLUTION`.
+    The grid is built and tested in bands of rows sized by the samplers'
+    cache-sized chunk rule, so no full-grid float array is formed, and each
+    verdict is bitwise the one :func:`majorizes_check` gives for that cell.
+    ``resolution`` may not exceed :data:`MAX_RESOLUTION`.
     """
     if len(psi) != 3 or len(phi) != 3 or len(chi) != 3:
         raise DomainError("psi, phi and chi must all have length 3")
@@ -339,18 +334,18 @@ def mutual_region_scan(
     lhs = product_spectra(psi.as_array(), chi.as_array())
 
     centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution
-    x1 = centers[:, None]
-    x2 = centers[None, :]
-    x3 = 1.0 - x1 - x2
-    valid = (x1 >= x2) & (x2 >= x3) & (x3 >= 0.0)
-
     cells = np.zeros((resolution, resolution), dtype=bool)
-    ii, jj = np.nonzero(valid)
-    chunk = _chunk_rows(3, 3)
-    for off in range(0, ii.size, chunk):
-        i, j = ii[off:off + chunk], jj[off:off + chunk]
-        residuals = np.stack([centers[i], centers[j], 1.0 - centers[i] - centers[j]], axis=1)
+    valid = np.zeros((resolution, resolution), dtype=bool)
+    # Bands of 8 chunks of cells: at most a quarter of a row is valid, so a
+    # band sends at most about two chunks of residuals through the kernel.
+    band = max(1, 8 * _chunk_rows(3, 3) // resolution)
+    for top in range(0, resolution, band):
+        x1 = centers[top:top + band, None]
+        x3 = 1.0 - x1 - centers
+        valid[top:top + band] = (x1 >= centers) & (centers >= x3) & (x3 >= 0.0)
+        i, j = np.nonzero(valid[top:top + band])
+        residuals = np.stack([x1[i, 0], centers[j], x3[i, j]], axis=1)
         rhs = product_spectra(phi.as_array(), residuals)
-        cells[i, j] = first_violations(lhs, rhs, tol.eps_major) == 0
+        cells[top + i, j] = first_violations(lhs, rhs, tol.eps_major) == 0
     return RegionGrid(resolution=resolution, cells=cells, constraint_mask=valid)
 

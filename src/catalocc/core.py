@@ -235,15 +235,15 @@ def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise tensor-product spectra of two batches of states.
 
     ``a`` is (B, n) and ``b`` is (B, k); either may be a single 1-D state,
-    broadcast over the batch.  Returns the (B, n*k) array whose row i holds
-    every product a[i, p] * b[i, q], sorted nonincreasing.
+    broadcast over the batch, and B may be 0.  Returns the (B, n*k) array
+    whose row i holds every product a[i, p] * b[i, q], sorted nonincreasing.
     """
     a = a.reshape(-1, a.shape[-1])
     b = b.reshape(-1, b.shape[-1])
     # Negated products sort ascending into contiguous descending rows, which
     # keeps the later cumulative sums off a reversed view.  Negation is exact.
     prods = np.multiply(-a[:, :, None], b[:, None, :])
-    prods = prods.reshape(prods.shape[0], -1)
+    prods = prods.reshape(prods.shape[0], a.shape[1] * b.shape[1])
     prods.sort(axis=1)
     np.negative(prods, out=prods)
     return prods

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -169,12 +169,11 @@ def monte_carlo_standard_catalyst(
     after the full budget is evidence, not proof: the algorithm has a
     one-sided false-negative probability that shrinks as the budget grows.
 
-    ``workers`` > 1 evaluates the TRIAL_BLOCK-sized blocks of one search on
-    a thread pool of at most min(workers, CPU count, blocks) threads, so it
-    only helps a search that scans more than one block.  At most twice that
-    many blocks are in flight at once; results are read in block order and
-    the rest are cancelled on a hit, so the outcome is identical to the
-    sequential run by the lowest-index rule.
+    ``workers`` > 1 scans the TRIAL_BLOCK-sized blocks on min(workers, CPU
+    count, blocks) pool threads, which helps only a search of several blocks.
+    Threads take blocks in order and scan each block they take, and take
+    none once a block has hit or raised; the lowest such block decides
+    (its hit is returned, its exception raised), as in a sequential run.
 
     A block is drawn one chunk at a time, just before that chunk is tested;
     n·k > :data:`MAX_PRODUCT_WIDTH` raises :class:`DomainError` before any draw.
@@ -204,36 +203,42 @@ def monte_carlo_standard_catalyst(
                 return start + off + int(hits[0]), tuple(part[hits[0]].tolist())
         return None
 
-    found: Optional[tuple[int, tuple[float, ...]]] = None
+    blocks = iter(range(nblocks))
+    taking = threading.Lock()  # next() on a shared iterator is atomic only under a GIL
+    ends: list[tuple[int, object]] = []  # (block, hit or exception); ends the search
+
+    def worker() -> None:
+        """Scan blocks in turn until none is left or some block has hit or raised."""
+        while not ends:
+            with taking:
+                block = next(blocks, None)
+            if block is None:
+                return
+            try:
+                end = scan_block(block)
+            except BaseException as exc:  # ranked by its block, like a hit
+                end = exc
+            if end is not None:
+                ends.append((block, end))
+
     workers = min(workers, os.cpu_count() or 1, nblocks)
     if workers <= 1:
-        for block in range(nblocks):
-            found = scan_block(block)
-            if found is not None:
-                break
+        worker()
     else:
-        executor = ThreadPoolExecutor(max_workers=workers)
-        try:
-            # A sliding window keeps every thread busy without queueing one
-            # future per block up front (that costs memory and time for huge
-            # budgets before any work runs).
-            blocks = iter(range(nblocks))
-            window = deque(executor.submit(scan_block, b) for b in islice(blocks, 2 * workers))
-            while window:
-                found = window.popleft().result()  # window order == block order
-                if found is not None:
-                    break
-                block = next(blocks, None)
-                if block is not None:
-                    window.append(executor.submit(scan_block, block))
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            try:
+                for future in [executor.submit(worker) for _ in range(workers)]:
+                    future.result()
+            finally:  # stops the workers however the wait ends; ranks above every block
+                ends.append((nblocks, None))
 
+    _, found = min(ends, default=(None, None))  # blocks are distinct: the lowest decides
+    if isinstance(found, BaseException):
+        raise found
     if found is None:
         return SearchOutcome(SearchStatus.FAILURE, None, big_m, cfg.seed)
-    index, coeffs = found
-    catalyst = OscVector(coeffs)
+    catalyst = OscVector(found[1])
     if not _scalar_leq(q.psi, q.phi, catalyst, tol.eps_major):
         raise RuntimeError("internal: kernel verdict fails the scalar re-check")
-    return SearchOutcome(SearchStatus.SUCCESS, catalyst, index + 1, cfg.seed)
+    return SearchOutcome(SearchStatus.SUCCESS, catalyst, found[0] + 1, cfg.seed)
 

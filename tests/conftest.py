@@ -9,9 +9,11 @@ import pytest
 
 class PoolLog(list):
     """Requested pool sizes in request order, plus ``peak_unfinished``: the
-    most futures that were submitted and not yet finished at any moment."""
+    most futures that were submitted and not yet finished at any moment, and
+    ``submitted``: how many futures were submitted in all."""
 
     peak_unfinished = 0
+    submitted = 0
 
 
 @pytest.fixture
@@ -34,6 +36,7 @@ def pool_sizes(monkeypatch):
 
         def submit(self, fn, /, *args, **kwargs):
             with lock:
+                seen.submitted += 1
                 self.unfinished += 1
                 seen.peak_unfinished = max(seen.peak_unfinished, self.unfinished)
             future = super().submit(fn, *args, **kwargs)

@@ -1,5 +1,6 @@
 """Tests for catalyst predicates, closed-form conditions, and the region scan."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -389,6 +390,28 @@ class TestClassifyCatalyst:
         with pytest.raises(NotACatalyst):
             classify_catalyst(JP_SHIFTED, JP_CATALYST, JP_CATALYST)
 
+    def test_kind_follows_the_entropy_change(self):
+        # random feasible (chi, chi') against the rule written out; a maximally
+        # entangled source leaves room for the residual to gain
+        rng = np.random.default_rng(401)
+        seen = set()
+        for q in (JP, JP_SHIFTED, TransformQuery(OscVector.maximally_entangled(4), JP_TARGET)):
+            for _ in range(400):
+                chi = make_osc(rng.dirichlet(np.ones(2)))
+                chi_prime = make_osc(rng.dirichlet(np.ones(2))) if rng.random() < 0.8 else chi
+                try:
+                    cls = classify_catalyst(q, chi, chi_prime)
+                except NotACatalyst:
+                    continue
+                delta = cls.entropy_before - cls.entropy_after
+                want = CatalystKind.STANDARD if abs(delta) <= 1e-9 else (
+                    CatalystKind.SUB if delta > 0 else CatalystKind.SUPER
+                )
+                assert cls.entropy_label() is want
+                assert cls.kind in (want, CatalystKind.TIME_REVERSE)
+                seen.add(cls.kind)
+        assert {CatalystKind.STANDARD, CatalystKind.SUB, CatalystKind.SUPER} <= seen
+
 
 class TestIsTimeReverse:
     def test_demo_tuple(self):
@@ -452,14 +475,26 @@ class TestMutualRegionScan:
         assert np.array_equal(grid.constraint_mask, one_batch.constraint_mask)
 
     def test_memory_is_chunked(self):
-        # all 333,333 valid cells in one kernel batch traced 99.6 MB
+        # all 333,333 valid cells in one kernel batch traced 99.6 MB, and a
+        # full-grid float x3 with whole-grid index arrays 44.5 MB
         tracemalloc.start()
         try:
             mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60 * 2**20
+        assert peak < 20 * 2**20
+
+    def test_coordinates_outside_the_unit_square_are_refused(self):
+        grid = mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 100)
+        # x1' = -0.19 used to wrap around to the x1' = 0.81 cell, and 1.5 to
+        # land in the last cell
+        for x1p, x2p in ((-0.19, 0.10), (0.81, -1e-12), (1.5, 0.1), (0.5, 1.0 + 1e-9), (math.nan, 0.1)):
+            with pytest.raises(DomainError, match=r"\[0, 1\]"):
+                grid.feasible_at(x1p, x2p)
+        assert grid.cell_index(0.0, 0.0) == (0, 0)
+        assert grid.cell_index(0.81, 0.10) == (81, 10)
+        assert grid.cell_index(1.0, 1.0) == (99, 99)
 
     def test_wrong_shapes(self):
         with pytest.raises(DomainError):

@@ -268,6 +268,14 @@ class TestSpectrumKernel:
         jp = np.array([[0.4, 0.4, 0.1, 0.1], [0.5, 0.25, 0.25, 0.0]])
         assert first_violations(jp, jp[::-1], 1e-12).tolist() == [2, 1]
 
+    def test_empty_batches(self):
+        psi, chi = np.array((0.5, 0.3, 0.2)), np.array((0.6, 0.4))
+        for a, b in ((psi, np.zeros((0, 2))), (np.zeros((0, 3)), chi), (np.zeros((0, 3)), np.zeros((0, 2)))):
+            spectra = product_spectra(a, b)
+            assert spectra.shape == (0, 6)
+            assert first_violations(spectra, spectra, 1e-12).shape == (0,)
+            assert first_violations(product_spectra(psi, chi), spectra, 1e-12).shape == (0,)
+
 
 class TestEntropyBits:
     def test_separable_state(self):

@@ -1,5 +1,10 @@
 """Tests for the decision procedure, simplex sampler, and Monte Carlo search."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -30,6 +35,32 @@ from oracles import (
 JP = TransformQuery(JP_SOURCE, JP_TARGET)
 JP_SHIFTED = TransformQuery(JP_SOURCE, JP_TARGET_SHIFTED)
 NO_GO_2X2 = TransformQuery(make_osc((0.8, 0.2)), make_osc((0.75, 0.25)))
+
+
+class Boom(Exception):
+    pass
+
+
+def recorded_draws(monkeypatch, raise_at=None, pause=0.0):
+    """Wrap ``search.substream`` to log (block, thread) for each block drawn.
+
+    A draw of block ``raise_at`` logs "raised" in place of the block and
+    raises :class:`Boom`; every other draw sleeps ``pause`` seconds after
+    it is logged.
+    """
+    draws = []
+    real = search.substream
+
+    def wrapped(seed, ctx, block):
+        if block == raise_at:
+            draws.append(("raised", threading.current_thread()))
+            raise Boom
+        draws.append((block, threading.current_thread()))
+        time.sleep(pause)
+        return real(seed, ctx, block)
+
+    monkeypatch.setattr(search, "substream", wrapped)
+    return draws
 
 
 class TestGeneralCatalystExists:
@@ -266,13 +297,131 @@ class TestMonteCarlo:
         outcome = monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=2)
         assert outcome.status is SearchStatus.FAILURE
         assert seen == [2]
-        assert seen.peak_unfinished <= 4  # 2 x workers, not one per block
+        assert seen.submitted == 2  # one future per worker, not one per block
+        assert seen.peak_unfinished <= 2
 
     def test_unknown_cpu_count_runs_sequentially(self, pool_sizes):
         seen = pool_sizes(search, cpus=None)
         cfg = SearchConfig(k=2, big_number=3 * TRIAL_BLOCK, seed=7)
         monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=8)
         assert seen == []
+
+    def test_workers_below_one_run_on_the_calling_thread(self, pool_sizes, monkeypatch):
+        seen = pool_sizes(search, cpus=4)
+        cfg = SearchConfig(k=2, big_number=3 * TRIAL_BLOCK, seed=7)
+        sequential = monte_carlo_standard_catalyst(NO_GO_2X2, cfg)
+        draws = recorded_draws(monkeypatch)
+        for workers in (0, -3):
+            assert monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=workers) == sequential
+        assert seen == []
+        assert [block for block, _ in draws] == [0, 1, 2] * 2
+        assert {thread for _, thread in draws} == {threading.current_thread()}
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_real_pool_draws_each_block_once(self, monkeypatch, workers):
+        # lowest hits in blocks 5 and 6, then a failure over 13 blocks; a
+        # short switch interval interleaves the workers' draws often
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        cases = ((JP_SHIFTED, 4, 94), (JP_SHIFTED, 4, 287), (NO_GO_2X2, 2, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for query, k, seed in cases:
+                cfg = SearchConfig(k=k, big_number=12 * TRIAL_BLOCK + 5, seed=seed)
+                sequential = monte_carlo_standard_catalyst(query, cfg)
+                draws = recorded_draws(monkeypatch)
+                assert monte_carlo_standard_catalyst(query, cfg, workers=workers) == sequential
+                blocks = [block for block, _ in draws]
+                assert len(blocks) == len(set(blocks))
+                if sequential.status is SearchStatus.SUCCESS:
+                    lowest = (sequential.trials_used - 1) // TRIAL_BLOCK
+                    assert lowest >= 5
+                    assert set(range(lowest + 1)) <= set(blocks)
+                else:
+                    assert sorted(blocks) == list(range(13))
+                assert threading.current_thread() not in {thread for _, thread in draws}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_raise_stops_the_other_worker_within_one_block(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        draws = recorded_draws(monkeypatch, raise_at=1, pause=0.01)
+        cfg = SearchConfig(k=2, big_number=64 * TRIAL_BLOCK, seed=7)
+        with pytest.raises(Boom):
+            monte_carlo_standard_catalyst(NO_GO_2X2, cfg, workers=2)
+        blocks = [block for block, _ in draws]
+        # the other worker may have taken one block as block 1 raised, and no more
+        assert len(blocks[blocks.index("raised") + 1:]) <= 1
+
+    @pytest.mark.parametrize("raise_at", [None, 0, 1])
+    def test_the_lowest_block_decides_when_a_higher_one_ends_first(self, monkeypatch, raise_at):
+        # one worker holds block 0 until the other has hit (or raised) in
+        # block 1; block 0's hit (or raise) still decides, as with one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = SearchConfig(k=2, big_number=4 * TRIAL_BLOCK, seed=5)
+        sequential = monte_carlo_standard_catalyst(JP, cfg)
+        assert sequential.trials_used == 34  # block 1 hits too, at its trial 19
+        higher_ended = threading.Event()
+        drew_block_1 = []
+        draws = recorded_draws(monkeypatch, raise_at=raise_at)
+        recorded, real_test = search.substream, search.first_violations
+
+        def draw(seed, ctx, block):
+            if block == 0:
+                assert higher_ended.wait(10)
+            elif block == 1:
+                drew_block_1.append(threading.current_thread())
+                if raise_at == 1:
+                    higher_ended.set()
+            return recorded(seed, ctx, block)
+
+        def tested(lhs, rhs, eps):
+            first = real_test(lhs, rhs, eps)
+            if threading.current_thread() in drew_block_1 and (first == 0).any():
+                higher_ended.set()
+            return first
+
+        monkeypatch.setattr(search, "substream", draw)
+        monkeypatch.setattr(search, "first_violations", tested)
+        if raise_at == 0:
+            with pytest.raises(Boom):
+                monte_carlo_standard_catalyst(JP, cfg, workers=2)
+        else:
+            assert monte_carlo_standard_catalyst(JP, cfg, workers=2) == sequential
+        assert higher_ended.is_set()
+        assert len(draws) == 2  # blocks 0 and 1, each once
+
+    def test_running_out_of_blocks_stops_no_other_worker(self, monkeypatch):
+        # the worker holding the last block, 5, which holds the lowest hit,
+        # scans it after the other worker has found no block left and returned
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = SearchConfig(k=4, big_number=6 * TRIAL_BLOCK, seed=94)
+        sequential = monte_carlo_standard_catalyst(JP_SHIFTED, cfg)
+        assert (sequential.trials_used - 1) // TRIAL_BLOCK == 5
+        returned = threading.Event()
+
+        class Pool(search.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                def run():
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        returned.set()
+
+                return super().submit(run)
+
+        draws = recorded_draws(monkeypatch)
+        recorded = search.substream
+
+        def draw(seed, ctx, block):
+            if block == 5:
+                assert returned.wait(10)
+            return recorded(seed, ctx, block)
+
+        monkeypatch.setattr(search, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(search, "substream", draw)
+        assert monte_carlo_standard_catalyst(JP_SHIFTED, cfg, workers=2) == sequential
+        assert sorted(block for block, _ in draws) == list(range(6))
 
     def test_scalar_recheck_catches_a_bad_kernel_verdict(self, monkeypatch):
         # a kernel that accepts every row must not yield a certificate
