@@ -124,14 +124,11 @@ def locc_feasible(q: TransformQuery, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _assisted_spectra(
     q: TransformQuery, chi: OscVector, chi_prime: OscVector
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of psi ⊗ chi and phi ⊗ chi', zero-padded to one width."""
-    lhs = product_spectra(q.psi.as_array(), chi.as_array())[0]
-    rhs = product_spectra(q.phi.as_array(), chi_prime.as_array())[0]
-    short = lhs.shape[0] - rhs.shape[0]
-    if short > 0:
-        rhs = np.concatenate((rhs, np.zeros(short)))
-    elif short < 0:
-        lhs = np.concatenate((lhs, np.zeros(-short)))
+    """Spectra of psi ⊗ chi and phi ⊗ chi' of one width: the factors are
+    zero-padded to common lengths, which only appends zero products."""
+    n, k = q.dim, max(len(chi), len(chi_prime))
+    lhs = product_spectra(padded_array(q.psi, n), padded_array(chi, k))[0]
+    rhs = product_spectra(padded_array(q.phi, n), padded_array(chi_prime, k))[0]
     return lhs, rhs
 
 

@@ -47,7 +47,7 @@ from .search import (
     SearchConfig,
     SearchStatus,
     _scalar_leq,
-    _simplex_points,
+    _sorted_simplex_rows,
     general_catalyst_exists,
     monte_carlo_standard_catalyst,
 )
@@ -178,9 +178,10 @@ def generate_catalyzable_pairs(
     psi, phi are drawn from the sorted flat-Dirichlet distribution on the
     (n-1)-simplex and chi on the (k-1)-simplex; a triple is accepted iff
     psi does not convert to phi directly but psi ⊗ chi ≺ phi ⊗ chi.  Each
-    batch of candidates has its own substream, drawn and tested by the
-    spectrum kernel one chunk at a time; every accepted pair is re-checked
-    by a scalar prefix loop before it is returned with its witness chi.
+    batch of candidates has its own substream, drawn by the search's
+    simplex generator and tested by the spectrum kernel one chunk at a time.
+    Every accepted pair is re-checked by a scalar prefix loop before it is
+    returned with its witness chi; a disagreement is a bug (RuntimeError).
 
     Raises :class:`GenerationExhausted` when the rejection budget runs out
     or the measured acceptance rate falls below 1e-4 (e.g. for two-level
@@ -190,8 +191,6 @@ def generate_catalyzable_pairs(
     eps = tol.eps_major
     out: list[tuple[TransformQuery, OscVector]] = []
     tried = 0
-    batch_index = 0
-    cols = 2 * n + k
     chunk = _chunk_rows(n, k)
     while len(out) < spec.count:
         if tried >= spec.rejection_budget:
@@ -204,27 +203,22 @@ def generate_catalyzable_pairs(
                 f"acceptance rate {len(out)/tried:.2e} below {_MIN_RATE:.0e} "
                 f"after {tried} draws ({len(out)} accepted); giving up"
             )
-        rng = substream(spec.seed, CTX_PAIRS, batch_index)
-        batch_index += 1
-        for off in range(0, _GEN_BATCH, chunk):
-            if len(out) == spec.count:
-                break
-            e = -np.log1p(-rng.random((min(chunk, _GEN_BATCH - off), cols)))
-            psi_rows = _simplex_points(e[:, :n])
-            phi_rows = _simplex_points(e[:, n : 2 * n])
-            chi_rows = _simplex_points(e[:, 2 * n :])
-
+        rng = substream(spec.seed, CTX_PAIRS, tried // _GEN_BATCH)
+        draws = _sorted_simplex_rows(rng, _GEN_BATCH, chunk, n, n, k)
+        for _, (psi_rows, phi_rows, chi_rows) in draws:
             blocked = first_violations(psi_rows, phi_rows, eps) > 0
             # held until the next chunk's rows exist, so their pages are not refaulted
             lhs, rhs = product_spectra(psi_rows, chi_rows), product_spectra(phi_rows, chi_rows)
             assisted = first_violations(lhs, rhs, eps) == 0
             for idx in np.flatnonzero(blocked & assisted)[: spec.count - len(out)]:
-                psi = OscVector(tuple(float(v) for v in psi_rows[idx]))
-                phi = OscVector(tuple(float(v) for v in phi_rows[idx]))
-                chi = OscVector(tuple(float(v) for v in chi_rows[idx]))
-                query = TransformQuery(psi, phi)
-                _certify_pair(query, chi, tol)
-                out.append((query, chi))
+                psi = OscVector(tuple(psi_rows[idx].tolist()))
+                phi = OscVector(tuple(phi_rows[idx].tolist()))
+                chi = OscVector(tuple(chi_rows[idx].tolist()))
+                if _scalar_leq(psi, phi, (1.0,), eps) or not _scalar_leq(psi, phi, chi, eps):
+                    raise RuntimeError("internal: kernel verdict fails the scalar re-check")
+                out.append((TransformQuery(psi, phi), chi))
+            if len(out) == spec.count:
+                break
         tried += _GEN_BATCH
     return out
 

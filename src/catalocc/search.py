@@ -26,7 +26,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -93,19 +93,24 @@ class SearchOutcome:
     seed: int
 
 
-def _sorted_simplex_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
-    """``rows`` draws from the uniform (flat Dirichlet) distribution on the
-    (k-1)-simplex, each sorted nonincreasing.
+def _sorted_simplex_rows(rng: np.random.Generator, rows: int, chunk: int, *widths: int):
+    """Yield ``(off, parts)`` for ``rows`` draws, at most ``chunk`` rows a step:
+    row i of ``parts[j]`` is draw off + i from the flat Dirichlet distribution
+    on the (widths[j]-1)-simplex, sorted nonincreasing.
 
-    Uses the exponential trick: k unit exponentials normalized by their sum.
-    Consumes exactly rows·k uniforms from ``rng``, row by row, so one large
-    draw reproduces several smaller ones on the same stream.
+    Exponential trick: a step draws its rows of sum(widths) unit exponentials
+    and slices each row at ``widths``.  Each step takes the uniforms of its
+    rows in order, so every ``chunk`` yields the same points.
     """
-    return _simplex_points(-np.log1p(-rng.random((rows, k))))
+    cuts = list(accumulate((0,) + widths))
+    for off in range(0, rows, chunk):
+        e = -np.log1p(-rng.random((min(chunk, rows - off), cuts[-1])))
+        yield off, [_simplex_points(e[:, a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _simplex_points(e: np.ndarray) -> np.ndarray:
-    """Rows of unit exponentials, normalized and sorted nonincreasing.
+    """Rows of unit exponentials, normalized and sorted in place; returns
+    the reversed view of ``e``, whose rows are nonincreasing.
 
     Rows summing to zero (every uniform hit 0.0) become the flat point.
     """
@@ -114,9 +119,9 @@ def _simplex_points(e: np.ndarray) -> np.ndarray:
     if zero.any():
         e[zero] = 1.0
         s = e.sum(axis=1)
-    x = e / s[:, None]
-    x.sort(axis=1)
-    return x[:, ::-1]
+    e /= s[:, None]
+    e.sort(axis=1)
+    return e[:, ::-1]
 
 
 def _scalar_leq(psi, phi, chi, eps: float) -> bool:
@@ -171,9 +176,10 @@ def monte_carlo_standard_catalyst(
 
     ``workers`` > 1 scans the TRIAL_BLOCK-sized blocks on min(workers, CPU
     count, blocks) pool threads, which helps only a search of several blocks.
-    Threads take blocks in order and scan each block they take, and take
-    none once a block has hit or raised; the lowest such block decides
-    (its hit is returned, its exception raised), as in a sequential run.
+    Threads take blocks in order and take none once a block has hit or
+    raised; each scans the block it took unless a lower block has ended
+    (it then stops within one chunk).  The lowest such block decides (its
+    hit is returned, its exception raised), as in a sequential run.
 
     A block is drawn one chunk at a time, just before that chunk is tested;
     n·k > :data:`MAX_PRODUCT_WIDTH` raises :class:`DomainError` before any draw.
@@ -193,14 +199,15 @@ def monte_carlo_standard_catalyst(
         start = block * TRIAL_BLOCK
         rows = min(TRIAL_BLOCK, big_m - start)
         rng = substream(cfg.seed, CTX_TRIALS, block)
-        for off in range(0, rows, chunk):
-            part = _sorted_simplex_rows(rng, min(chunk, rows - off), cfg.k)
+        for off, (part,) in _sorted_simplex_rows(rng, rows, chunk, cfg.k):
             # held until the next chunk's rows exist, so their pages are not refaulted
             lhs, rhs = product_spectra(psi, part), product_spectra(phi, part)
             first = first_violations(lhs, rhs, tol.eps_major)
             hits = np.flatnonzero(first == 0)
             if hits.size:
                 return start + off + int(hits[0]), tuple(part[hits[0]].tolist())
+            if ends and min(ends)[0] < block:  # a lower block has ended: this one cannot decide
+                return None
         return None
 
     blocks = iter(range(nblocks))

@@ -53,7 +53,7 @@ def first_hit_whole_blocks(q: TransformQuery, k: int, big_m: int, seed: int):
     for block in range(math.ceil(big_m / TRIAL_BLOCK)):
         start = block * TRIAL_BLOCK
         rows = min(TRIAL_BLOCK, big_m - start)
-        chis = _sorted_simplex_rows(substream(seed, CTX_TRIALS, block), rows, k)
+        [(_, (chis,))] = _sorted_simplex_rows(substream(seed, CTX_TRIALS, block), rows, rows, k)
         for i, chi in enumerate(chis.tolist()):
             if assisted_feasible(q.psi, q.phi, chi, chi):
                 return start + i, tuple(chi)

@@ -361,6 +361,10 @@ class TestGeneralCatalyst2to3:
     def test_shape_errors(self):
         with pytest.raises(DomainError):
             general_catalyst_2to3(JP, 0.6)
+        # right shapes, but 2 -> 3 needs no catalyst here
+        feasible = TransformQuery(make_osc((0.5, 0.5)), make_osc((0.6, 0.4, 0.0)))
+        with pytest.raises(DomainError, match="already feasible"):
+            general_catalyst_2to3(feasible, 0.6)
 
 
 class TestClassifyCatalyst:
@@ -411,6 +415,31 @@ class TestClassifyCatalyst:
                 assert cls.kind in (want, CatalystKind.TIME_REVERSE)
                 seen.add(cls.kind)
         assert {CatalystKind.STANDARD, CatalystKind.SUB, CatalystKind.SUPER} <= seen
+
+    def test_the_shorter_product_is_zero_padded(self):
+        # len(psi)·len(chi) = 6 > len(phi)·len(chi') = 4, and the spectra
+        # coincide once the shorter one is padded with zeros
+        q = TransformQuery(make_osc((0.5, 0.5, 0.0)), OscVector.maximally_entangled(4))
+        chi, chi_prime = OscVector((0.5, 0.5)), OscVector((1.0,))
+        assert is_time_reverse(q, chi, chi_prime)
+        cls = classify_catalyst(q, chi, chi_prime)
+        assert (cls.kind, cls.entropy_label()) == (CatalystKind.TIME_REVERSE, CatalystKind.SUB)
+        # random triples with the longer product on the source side, against
+        # the naive oracle
+        rng = np.random.default_rng(409)
+        feasible = 0
+        for _ in range(300):
+            psi, chi = random_osc(rng, int(rng.integers(3, 6))), random_osc(rng, 3)
+            phi, chi_prime = random_osc(rng, 2), random_osc(rng, 2)
+            q = TransformQuery(psi, phi)
+            assert not is_time_reverse(q, chi, chi_prime)
+            if assisted_feasible(psi, phi, chi, chi_prime):
+                feasible += 1
+                assert classify_catalyst(q, chi, chi_prime).kind is not CatalystKind.TIME_REVERSE
+            else:
+                with pytest.raises(NotACatalyst):
+                    classify_catalyst(q, chi, chi_prime)
+        assert 0 < feasible < 300
 
 
 class TestIsTimeReverse:

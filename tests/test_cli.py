@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from catalocc import search
+from catalocc import experiments, search
 from catalocc.catalysis import MAX_RESOLUTION
 from catalocc.cli import main
 
@@ -67,11 +67,14 @@ class TestCheck:
         assert last_json(result.output)["relation"] == "equivalent"
 
     def test_malformed_file(self, runner, tmp_path):
+        # not JSON, then JSON that is not an object
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
         ok = write_state(tmp_path, "ok", (1.0,))
-        result = runner.invoke(main, ["check", str(bad), ok])
-        assert result.exit_code == 2
+        for text, fragment in (("{not json", ""), ("[0.5, 0.5]", "expected a JSON object")):
+            bad.write_text(text)
+            result = runner.invoke(main, ["check", str(bad), ok])
+            assert_input_error(result, fragment)
+            assert len(result.stderr.splitlines()) == 1
 
     def test_unnormalized_file_names_problem(self, runner, tmp_path):
         bad = write_state(tmp_path, "bad", (0.5, 0.6))
@@ -196,16 +199,19 @@ class TestCatalyze:
         )
         assert_input_error(result, "bad_chi.json: ")
 
-    def test_failed_recheck_is_an_internal_fault(self, runner, jp_files, monkeypatch):
-        # a certificate that fails the re-check is a bug, not bad input
+    def test_failed_recheck_is_an_internal_fault(self, runner, jp_files, monkeypatch, tmp_path):
+        # a certificate that fails the re-check is a bug, not bad input,
+        # in the search and in pair generation alike
         monkeypatch.setattr(search, "_scalar_leq", lambda *args: False)
-        result = runner.invoke(
-            main,
+        monkeypatch.setattr(experiments, "_scalar_leq", lambda *args: False)
+        for args in (
             ["--seed", "7", "catalyze", jp_files["psi"], jp_files["phi"],
              "--k", "2", "--mode", "standard", "-M", "1000"],
-        )
-        assert isinstance(result.exception, RuntimeError)
-        assert result.exit_code != 2
+            ["--out", str(tmp_path), "genpairs", "--n", "6", "--k", "3", "--count", "1"],
+        ):
+            result = runner.invoke(main, args)
+            assert isinstance(result.exception, RuntimeError)
+            assert result.exit_code != 2
 
 
 class TestRegion:

@@ -52,6 +52,13 @@ class TestMakeOsc:
     def test_sorts_a_permutation(self):
         assert make_osc((0.25, 0.5, 0.25)).coeffs == (0.5, 0.25, 0.25)
 
+    def test_named_states_need_a_dimension(self):
+        assert OscVector.separable(3).coeffs == (1.0, 0.0, 0.0)
+        assert OscVector.maximally_entangled(2).coeffs == (0.5, 0.5)
+        for named in (OscVector.separable, OscVector.maximally_entangled):
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                named(0)
+
     def test_preserves_trailing_zero(self):
         v = make_osc((0.5, 0.25, 0.25, 0.0))
         assert v.coeffs == (0.5, 0.25, 0.25, 0.0)

@@ -43,6 +43,10 @@ class TestPairGenSpec:
         with pytest.raises(ValueError):
             PairGenSpec(seed=1, n=4, k=4)
 
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            PairGenSpec(seed=1, k=0)
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             PairGenSpec(seed=1, count=0)
@@ -125,16 +129,19 @@ class TestGeneratePairs:
 
     def test_scalar_recheck_catches_a_bad_kernel_verdict(self, monkeypatch):
         # accept every assisted row (width n*k = 18) while the direct test
-        # (width n = 6) stays real: no wrong pair may be emitted
+        # (width n = 6) stays real, then block every direct row while the
+        # assisted test stays real: no wrong pair may be emitted, and the
+        # disagreement is a bug, not bad input
         real = experiments.first_violations
+        for width, verdict in ((18, 0), (6, 1)):
 
-        def accept_assisted(lhs, rhs, eps):
-            first = real(lhs, rhs, eps)
-            return np.zeros_like(first) if lhs.shape[1] == 18 else first
+            def wrong_at_width(lhs, rhs, eps):
+                first = real(lhs, rhs, eps)
+                return np.full_like(first, verdict) if lhs.shape[1] == width else first
 
-        monkeypatch.setattr(experiments, "first_violations", accept_assisted)
-        with pytest.raises(DomainError):
-            generate_catalyzable_pairs(small_spec())
+            monkeypatch.setattr(experiments, "first_violations", wrong_at_width)
+            with pytest.raises(RuntimeError, match="internal: kernel verdict"):
+                generate_catalyzable_pairs(small_spec())
 
 
 class TestSuccessCurve:
@@ -222,6 +229,7 @@ class TestPairArchive:
         swapped = dict(record, psi=record["phi"], phi=record["psi"])
         cases = {
             "swapped": json.dumps(swapped),
+            "already-feasible": json.dumps(dict(record, phi=record["psi"])),
             "json": good_lines[1][:-1],
             "unnormalized": json.dumps(dict(record, psi=[0.5, 0.6])),
             "negative": json.dumps(dict(record, witness=[1.2, -0.2])),

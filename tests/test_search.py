@@ -98,6 +98,11 @@ class TestGeneralCatalystExists:
 
             assert got == (expected or locc_feasible(q))
 
+    def test_k_below_one_is_refused(self):
+        for k in (0, -2):
+            with pytest.raises(DomainError, match="k must be >= 1"):
+                general_catalyst_exists(JP_SHIFTED, k)
+
     def test_ties_and_trailing_zeros(self):
         # integer weights give tied entries and zero tails on both sides
         rng = np.random.default_rng(61)
@@ -115,15 +120,21 @@ class TestGeneralCatalystExists:
                 assert general_catalyst_exists(q, k) == expected
 
 
+def simplex_rows(rng, rows, k):
+    """``rows`` sorted points on the (k-1)-simplex, drawn in one step."""
+    [(_, (part,))] = _sorted_simplex_rows(rng, rows, rows, k)
+    return part
+
+
 class TestSampleSortedSimplex:
     def test_degenerate_k1(self):
         rng = substream(1, CTX_TRIALS, 0)
-        assert _sorted_simplex_rows(rng, 1, 1).tolist() == [[1.0]]
+        assert simplex_rows(rng, 1, 1).tolist() == [[1.0]]
 
     def test_valid_sorted_output(self):
         rng = substream(2, CTX_TRIALS, 0)
         for k in (2, 3, 5, 8):
-            v = _sorted_simplex_rows(rng, 1, k)[0].tolist()
+            v = simplex_rows(rng, 1, k)[0].tolist()
             assert len(v) == k
             assert all(a >= b for a, b in zip(v, list(v)[1:]))
             assert sum(v) == pytest.approx(1.0, abs=1e-12)
@@ -131,19 +142,34 @@ class TestSampleSortedSimplex:
     def test_top_coefficient_mean_k2(self):
         # E[max] = 3/4 for the flat (1-)simplex
         rng = substream(3, CTX_TRIALS, 0)
-        rows = _sorted_simplex_rows(rng, 100_000, 2)
+        rows = simplex_rows(rng, 100_000, 2)
         assert rows[:, 0].mean() == pytest.approx(0.75, abs=0.005)
 
     def test_deterministic_across_runs(self):
-        a = _sorted_simplex_rows(substream(7, CTX_TRIALS, 5), 1, 4).tolist()
-        b = _sorted_simplex_rows(substream(7, CTX_TRIALS, 5), 1, 4).tolist()
+        a = simplex_rows(substream(7, CTX_TRIALS, 5), 1, 4).tolist()
+        b = simplex_rows(substream(7, CTX_TRIALS, 5), 1, 4).tolist()
         assert a == b
 
     def test_batch_equals_sequential(self):
-        batched = _sorted_simplex_rows(substream(11, CTX_TRIALS, 2), 16, 3)
-        rng = substream(11, CTX_TRIALS, 2)
-        single = np.concatenate([_sorted_simplex_rows(rng, 1, 3) for _ in range(16)])
-        assert np.array_equal(batched, single)
+        batched = simplex_rows(substream(11, CTX_TRIALS, 2), 16, 3)
+        steps = list(_sorted_simplex_rows(substream(11, CTX_TRIALS, 2), 16, 1, 3))
+        assert [off for off, _ in steps] == list(range(16))
+        assert np.array_equal(batched, np.concatenate([part for _, (part,) in steps]))
+
+    def test_parts_are_normalised_in_place(self):
+        # a row of zeros (every uniform 0.0) becomes the flat point, and a
+        # part touches only its own columns of the shared rows
+        e = np.array([[0.0, 0.0, 0.0, 3.0, 1.0], [1.0, 3.0, 0.0, 0.0, 0.0]])
+        left, right = search._simplex_points(e[:, :3]), search._simplex_points(e[:, 3:])
+        assert left.tolist() == [[1 / 3] * 3, [0.75, 0.25, 0.0]]
+        assert right.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+        assert np.shares_memory(left, e) and np.shares_memory(right, e)
+
+    def test_substream_keys_are_range_checked(self):
+        assert substream(1, CTX_TRIALS, (1 << 48) - 1).random() < 1.0
+        for context, index in ((CTX_TRIALS, -1), (CTX_TRIALS, 1 << 48), (0, 0), (1 << 15, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                substream(1, context, index)
 
 
 class TestMonteCarlo:
@@ -390,6 +416,51 @@ class TestMonteCarlo:
             assert monte_carlo_standard_catalyst(JP, cfg, workers=2) == sequential
         assert higher_ended.is_set()
         assert len(draws) == 2  # blocks 0 and 1, each once
+
+    def test_a_block_above_a_hit_stops_within_one_chunk(self, monkeypatch):
+        # n·k = 512 gives 128-row chunks, and block 0 hits in its first chunk;
+        # the worker that took block 1 draws it only once the other worker has
+        # returned with that hit, then stops after one chunk of its 32
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        query = TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * 124), JP_TARGET_SHIFTED)
+        cfg = SearchConfig(k=4, big_number=2 * TRIAL_BLOCK, seed=7)
+        sequential = monte_carlo_standard_catalyst(query, cfg)
+        assert sequential.trials_used <= 128
+        took_block_1, returned = threading.Event(), threading.Event()
+        drawn = []  # rows of each draw from block 1's stream
+
+        class Pool(search.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                def run():
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        returned.set()
+
+                return super().submit(run)
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, shape):
+                drawn.append(shape[0])
+                return self.rng.random(shape)
+
+        real = search.substream
+
+        def draw(seed, ctx, block):
+            if block == 0:
+                assert took_block_1.wait(10)
+                return real(seed, ctx, block)
+            took_block_1.set()
+            assert returned.wait(10)
+            return Counted(real(seed, ctx, block))
+
+        monkeypatch.setattr(search, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(search, "substream", draw)
+        assert monte_carlo_standard_catalyst(query, cfg, workers=2) == sequential
+        assert drawn == [128]
 
     def test_running_out_of_blocks_stops_no_other_worker(self, monkeypatch):
         # the worker holding the last block, 5, which holds the lowest hit,
