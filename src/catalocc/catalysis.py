@@ -18,12 +18,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    MAX_PRODUCT_WIDTH,
     CatalystClass,
     CatalystKind,
     OscVector,
     Relation,
     Tolerance,
-    _chunk_rows,
     entropy_bits,
     first_violations,
     majorizes_check,
@@ -319,9 +319,9 @@ def mutual_region_scan(
     :func:`catalocc.experiments.mutual_demo_inequalities` are cross-checks
     for specific inputs.
 
-    The grid is built and tested in bands of rows sized by the samplers'
-    cache-sized chunk rule, so no full-grid float array is formed, and each
-    verdict is bitwise the one :func:`majorizes_check` gives for that cell.
+    The grid is built and tested in bands of at most MAX_PRODUCT_WIDTH cells
+    (or one row), so no full-grid float array is formed, and each verdict is
+    bitwise the one :func:`majorizes_check` gives for that cell.
     ``resolution`` may not exceed :data:`MAX_RESOLUTION`.
     """
     if len(psi) != 3 or len(phi) != 3 or len(chi) != 3:
@@ -333,9 +333,7 @@ def mutual_region_scan(
     centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution
     cells = np.zeros((resolution, resolution), dtype=bool)
     valid = np.zeros((resolution, resolution), dtype=bool)
-    # Bands of 8 chunks of cells: at most a quarter of a row is valid, so a
-    # band sends at most about two chunks of residuals through the kernel.
-    band = max(1, 8 * _chunk_rows(3, 3) // resolution)
+    band = max(1, MAX_PRODUCT_WIDTH // resolution)  # grid rows of at most one chunk of cells
     for top in range(0, resolution, band):
         x1 = centers[top:top + band, None]
         x3 = 1.0 - x1 - centers

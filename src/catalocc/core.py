@@ -214,21 +214,17 @@ def padded_array(v: OscVector, n: int) -> np.ndarray:
     return arr
 
 
-# Widest product row a sampler forms: a search and pair generation both need
-# n·k <= MAX_PRODUCT_WIDTH, so one chunk of rows bounds their memory (and the
-# region scan's, whose rows are 3·3 wide).
+# The one chunk budget: a sampled chunk or a region band holds at most this
+# many product entries (or grid cells), so its working set stays cache-sized.
 MAX_PRODUCT_WIDTH = 1 << 16
-
-# Product elements per chunk, so the working set stays cache-sized; this
-# affects speed only, never verdicts.
-_EVAL_CHUNK_ELEMS = 1 << 16
+MAX_QUERY_WIDTH = 1 << 22  # widest product row one single query forms: 64 chunks
 
 
 def _chunk_rows(n: int, k: int) -> int:
-    """Rows per chunk of n·k-wide product rows; refuses n·k > MAX_PRODUCT_WIDTH."""
+    """Rows of n·k products in one chunk (>= 1); refuses n·k > MAX_PRODUCT_WIDTH."""
     if n * k > MAX_PRODUCT_WIDTH:
         raise DomainError(f"search too large: n*k = {n * k} > {MAX_PRODUCT_WIDTH}")
-    return max(64, _EVAL_CHUNK_ELEMS // (n * k))
+    return MAX_PRODUCT_WIDTH // (n * k)
 
 
 def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,7 +233,10 @@ def product_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` is (B, n) and ``b`` is (B, k); either may be a single 1-D state,
     broadcast over the batch, and B may be 0.  Returns the (B, n*k) array
     whose row i holds every product a[i, p] * b[i, q], sorted nonincreasing.
+    Rows wider than :data:`MAX_QUERY_WIDTH` raise :class:`DomainError`.
     """
+    if a.shape[-1] * b.shape[-1] > MAX_QUERY_WIDTH:
+        raise DomainError(f"query too large: n*k = {a.shape[-1] * b.shape[-1]} > {MAX_QUERY_WIDTH}")
     a = a.reshape(-1, a.shape[-1])
     b = b.reshape(-1, b.shape[-1])
     # Negated products sort ascending into contiguous descending rows, which

@@ -178,8 +178,8 @@ def generate_catalyzable_pairs(
     psi, phi are drawn from the sorted flat-Dirichlet distribution on the
     (n-1)-simplex and chi on the (k-1)-simplex; a triple is accepted iff
     psi does not convert to phi directly but psi ⊗ chi ≺ phi ⊗ chi.  Each
-    batch of candidates has its own substream, drawn by the search's
-    simplex generator and tested by the spectrum kernel one chunk at a time.
+    batch of candidates has its own substream, drawn by the search's simplex
+    generator and tested in chunks of at most MAX_PRODUCT_WIDTH products.
     Every accepted pair is re-checked by a scalar prefix loop before it is
     returned with its witness chi; a disagreement is a bug (RuntimeError).
 

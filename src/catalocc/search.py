@@ -35,6 +35,7 @@ from .catalysis import TransformQuery, locc_feasible
 from .core import (
     DEFAULT_TOL,
     MAX_PRODUCT_WIDTH,
+    MAX_QUERY_WIDTH,
     OscVector,
     Tolerance,
     _chunk_rows,
@@ -148,17 +149,19 @@ def general_catalyst_exists(q: TransformQuery, k: int, tol: Tolerance = DEFAULT_
     """Decide whether *any* k x k general catalyst exists for psi -> phi.
 
     It suffices to test a maximally entangled ancilla with complete
-    consumption: psi ⊗ (1/k, ..., 1/k) ≺ phi (zero-padded to n·k).  That
-    product spectrum is each psi_i/k repeated k times, already sorted, so
-    one O(n·k) pass forms it, bit for bit what the sorting kernel gives.
-    For k >= n the answer is always yes (a maximally entangled state
-    converts to everything of its dimension), so no n·k product is formed.
+    consumption: psi ⊗ (1/k, ..., 1/k) ≺ phi (zero-padded to n·k), whose
+    left side is each psi_i/k repeated k times: one O(n·k) pass, bit for
+    bit what the sorting kernel gives.  For k >= n the answer is always yes
+    (a maximally entangled state converts to everything of its dimension);
+    otherwise n·k > :data:`MAX_QUERY_WIDTH` raises :class:`DomainError`.
     """
     if k < 1:
         raise DomainError("catalyst dimension k must be >= 1")
     n = q.dim
     if k >= n:
         return True
+    if n * k > MAX_QUERY_WIDTH:
+        raise DomainError(f"query too large: n*k = {n * k} > {MAX_QUERY_WIDTH}")
     lhs = np.repeat(padded_array(q.psi, n) * (1.0 / k), k)
     return not first_violations(lhs, padded_array(q.phi, n * k), tol.eps_major)
 
@@ -181,8 +184,8 @@ def monte_carlo_standard_catalyst(
     (it then stops within one chunk).  The lowest such block decides (its
     hit is returned, its exception raised), as in a sequential run.
 
-    A block is drawn one chunk at a time, just before that chunk is tested;
-    n·k > :data:`MAX_PRODUCT_WIDTH` raises :class:`DomainError` before any draw.
+    Blocks are drawn and tested in chunks of at most MAX_PRODUCT_WIDTH
+    products; a wider n·k row raises :class:`DomainError` before any draw.
     """
     n = q.dim
     chunk = _chunk_rows(n, cfg.k)

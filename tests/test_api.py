@@ -12,6 +12,7 @@ import click
 
 import catalocc
 from catalocc.cli import main
+from catalocc.core import MAX_PRODUCT_WIDTH, MAX_QUERY_WIDTH
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -79,3 +80,13 @@ def test_readme_cli_lines_parse():
         missing = [p.name for p in command.params
                    if p.required and not isinstance(values.get(p.name), str)]
         assert not extra and not missing, (line, extra, missing)
+
+
+def test_readme_memory_rule_states_the_two_bounds():
+    """The README's memory rule gives one chunk budget, for sampled chunks,
+    region bands and sampler widths alike, and one single-query bound."""
+    text = README.read_text(encoding="utf-8")
+    rule = " ".join(text.split("One rule bounds memory:", 1)[1].split("\n\n", 1)[0].split())
+    bounds = re.findall(r"(\d[\d,]*) (?:product entries|cells)|n·k <= (\d[\d,]*)", rule)
+    numbers = [int((a or b).replace(",", "")) for a, b in bounds]
+    assert numbers == [MAX_PRODUCT_WIDTH] * 3 + [MAX_QUERY_WIDTH], rule

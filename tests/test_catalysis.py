@@ -30,6 +30,7 @@ from catalocc import (
     tensor_spectrum,
 )
 from catalocc.catalysis import MAX_RESOLUTION
+from catalocc.core import MAX_PRODUCT_WIDTH
 from catalocc.experiments import (
     JP_CATALYST,
     JP_CONSUMED_RESIDUAL,
@@ -441,6 +442,35 @@ class TestClassifyCatalyst:
                     classify_catalyst(q, chi, chi_prime)
         assert 0 < feasible < 300
 
+    def test_query_width_is_bounded(self):
+        # len(psi) · len(chi) = 2,048 · 2,049 is just above MAX_QUERY_WIDTH
+        wide = TransformQuery(OscVector.maximally_entangled(2048), OscVector.separable())
+        chi = OscVector.maximally_entangled(2049)
+        calls = (
+            lambda: classify_catalyst(wide, chi, chi),
+            lambda: is_general_catalyst(wide, chi),
+            lambda: is_time_reverse(wide, chi, OscVector.separable()),
+        )
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(DomainError, match="query too large: n\\*k = 4196352"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # a 3-dim catalyst needs a source of over 1.4 million entries
+        huge = TransformQuery(OscVector.maximally_entangled(2**21), OscVector.separable())
+        with pytest.raises(DomainError, match="query too large"):
+            subcatalyst_forced(huge, MUTUAL_CATALYST, MUTUAL_CATALYST)
+        # within the bound a wide query answers: psi -> psi with a 100-dim
+        # chi is 1,000 · 100 = 100,000 products a side
+        rng = np.random.default_rng(419)
+        psi, chi = random_osc(rng, 1000), random_osc(rng, 100)
+        cls = classify_catalyst(TransformQuery(psi, psi), chi, chi)
+        assert (cls.kind, cls.entropy_label()) == (CatalystKind.TIME_REVERSE, CatalystKind.STANDARD)
+
 
 class TestIsTimeReverse:
     def test_demo_tuple(self):
@@ -496,9 +526,13 @@ class TestMutualRegionScan:
 
     @pytest.mark.parametrize("chunk", [1, 1000, 7281])
     def test_chunks_match_one_batch(self, monkeypatch, chunk):
-        # resolution 400 has 13,333 valid cells: several chunks, a short last one
+        # a budget of `chunk` 9-entry residuals gives bands of 1, 22 and 163
+        # rows at resolution 400; 163 is the default band, and the last band
+        # of each is short
+        monkeypatch.setattr(catalysis, "MAX_PRODUCT_WIDTH", 400 * 400)
         one_batch = mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 400)
-        monkeypatch.setattr(catalysis, "_chunk_rows", lambda n, k: chunk)
+        monkeypatch.setattr(catalysis, "MAX_PRODUCT_WIDTH", 9 * chunk)
+        assert (9 * 7281) // 400 == MAX_PRODUCT_WIDTH // 400
         grid = mutual_region_scan(MUTUAL_SOURCE, MUTUAL_TARGET, MUTUAL_CATALYST, 400)
         assert np.array_equal(grid.cells, one_batch.cells)
         assert np.array_equal(grid.constraint_mask, one_batch.constraint_mask)

@@ -199,6 +199,22 @@ class TestCatalyze:
         )
         assert_input_error(result, "bad_chi.json: ")
 
+    def test_wide_queries_are_input_errors(self, runner, tmp_path):
+        # n·len(chi) = 2,048 · 2,049 and n·k = 4,096 · 1,025 are just above
+        # MAX_QUERY_WIDTH, in general and standard mode alike
+        psi = write_state(tmp_path, "psi", (1 / 2048,) * 2048)
+        wide = write_state(tmp_path, "wide", (1 / 4096,) * 4096)
+        phi = write_state(tmp_path, "phi", (1.0,))
+        chi = write_state(tmp_path, "chi", (1 / 2049,) * 2049)
+        for args, fragment in (
+            ([psi, phi, "--chi", chi, "--mode", "general"], "n*k = 4196352"),
+            ([psi, phi, "--chi", chi, "--mode", "standard"], "n*k = 4196352"),
+            ([wide, phi, "--k", "1025", "--mode", "general"], "n*k = 4198400"),
+        ):
+            result = runner.invoke(main, ["catalyze", *args])
+            assert_input_error(result, f"query too large: {fragment}")
+            assert len(result.stderr.splitlines()) == 1
+
     def test_failed_recheck_is_an_internal_fault(self, runner, jp_files, monkeypatch, tmp_path):
         # a certificate that fails the re-check is a bug, not bad input,
         # in the search and in pair generation alike
@@ -380,7 +396,7 @@ class TestCurveInputErrors:
 
 
 class TestFixtures:
-    def test_all_pass(self, runner, tmp_path):
+    def test_all_pass(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "out"
         result = runner.invoke(main, ["--out", str(out), "fixtures"])
         assert result.exit_code == 0, result.output
@@ -388,6 +404,15 @@ class TestFixtures:
         assert result.output.count("PASS") >= 12
         report = json.loads((out / "fixtures.json").read_text())
         assert all(r["passed"] for r in report)
+        # a failing fixture is reported, not raised: one FAIL line, exit 1
+        monkeypatch.setattr(experiments, "general_catalyst_exists", lambda *args: False)
+        result = runner.invoke(main, ["--out", str(out), "fixtures"])
+        assert result.exit_code == 1, result.output
+        fail = "FAIL maximally-entangled-ancilla-reduction: k >= n must always succeed"
+        assert [line for line in result.output.splitlines() if "FAIL" in line] == [fail]
+        assert last_json(result.output) == {"passed": False, "total": len(report), "failures": 1}
+        report = json.loads((out / "fixtures.json").read_text())
+        assert [r["name"] for r in report if not r["passed"]] == [fail.split()[1][:-1]]
 
 
 class TestThreadsFlag:

@@ -1,6 +1,7 @@
 """Unit and property tests for the vector/majorization core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from catalocc import (
     DEFAULT_TOL,
     CataloccError,
+    DomainError,
     NegativeEntry,
     NotNormalized,
     OscVector,
@@ -23,7 +25,13 @@ from catalocc import (
     partial_sums,
     tensor_spectrum,
 )
-from catalocc.core import first_violations, product_spectra
+from catalocc.core import (
+    MAX_PRODUCT_WIDTH,
+    MAX_QUERY_WIDTH,
+    _chunk_rows,
+    first_violations,
+    product_spectra,
+)
 from catalocc.experiments import TR_CATALYST, TR_RESIDUAL, TR_SOURCE, TR_TARGET
 from oracles import (
     assisted_feasible,
@@ -282,6 +290,36 @@ class TestSpectrumKernel:
             assert spectra.shape == (0, 6)
             assert first_violations(spectra, spectra, 1e-12).shape == (0,)
             assert first_violations(product_spectra(psi, chi), spectra, 1e-12).shape == (0,)
+
+    def test_rows_wider_than_a_query_are_refused_before_any_product(self):
+        # 2,048 · 2,049 products is just above MAX_QUERY_WIDTH = 2,048 · 2,048
+        assert 2048 * 2048 == MAX_QUERY_WIDTH
+        psi, chi = OscVector.maximally_entangled(2048), OscVector.maximally_entangled(2049)
+        a, b = psi.as_array(), chi.as_array()
+        tracemalloc.start()
+        try:
+            for call in (lambda: product_spectra(a, b), lambda: tensor_spectrum(psi, chi)):
+                with pytest.raises(DomainError, match="query too large: n\\*k = 4196352"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestChunkRows:
+    def test_one_budget_at_every_width(self):
+        # a chunk is the most rows of n·k products that fit MAX_PRODUCT_WIDTH,
+        # and at least one; up to n·k = 1,024 these are the rows the retired
+        # rule max(64, 65,536 // (n·k)) gave, so those widths draw as before
+        for width in range(1, MAX_PRODUCT_WIDTH + 1):
+            rows = _chunk_rows(width, 1)
+            assert rows >= 1 and rows * width <= MAX_PRODUCT_WIDTH < (rows + 1) * width
+            if width <= 1024:
+                assert rows == max(64, 65_536 // width)
+        assert _chunk_rows(64, 1024) == _chunk_rows(1, MAX_PRODUCT_WIDTH) == 1
+        with pytest.raises(DomainError, match="search too large"):
+            _chunk_rows(MAX_PRODUCT_WIDTH + 1, 1)
 
 
 class TestEntropyBits:

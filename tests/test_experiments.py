@@ -94,12 +94,14 @@ class TestGeneratePairs:
         [
             (1, 8, 4, 200, "718040088df471cf2f0493c7c8f2331f1166a261447979d59b5e3c4281279310"),
             (2, 32, 16, 20, "3309fb1f234c3b80dc068b8c90d9e29387855e52db84f492c42f6b868661e867"),
+            (3, 64, 32, 20, "2a403faae5a071ec8b89e48c6a98892ae6d9cb17da19739e7dcc212e9543ee03"),
         ],
     )
     def test_pinned_archives(self, tmp_path, seed, n, k, count, sha256):
         # each batch is drawn and tested in chunks smaller than the batch
-        # (2,048 and 128 rows); the archives were pinned when a batch was
-        # drawn whole, so chunking must not move a single byte
+        # (2,048, 128 and 32 rows); the first two archives were pinned when a
+        # batch was drawn whole, and the third when a 64-row floor drew it in
+        # 64-row chunks, so chunking must not move a single byte
         pairs = generate_catalyzable_pairs(PairGenSpec(seed=seed, n=n, k=k, count=count))
         path = write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs, seed=seed)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
@@ -212,6 +214,10 @@ class TestPairArchive:
             assert q1.psi.coeffs == q2.psi.coeffs  # repr round-trip is exact
             assert q1.phi.coeffs == q2.phi.coeffs
             assert w1.coeffs == w2.coeffs
+        # blank and whitespace-only lines are skipped
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("\n" + "".join(lines[:7]) + "  \n\n" + "".join(lines[7:]) + "\t\n")
+        assert load_pairs_jsonl(path) == loaded
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         pairs = generate_catalyzable_pairs(small_spec(seed=29, count=10))

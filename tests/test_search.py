@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestGeneralCatalystExists:
             q = TransformQuery(psi, phi)
             for k in (n, n + 1, n + 3, 10**9):
                 assert general_catalyst_exists(q, k)
+
+    def test_wide_queries_are_refused_before_any_product(self):
+        # n·k = 4,096 · 1,025 is just above MAX_QUERY_WIDTH; k >= n forms nothing
+        wide = TransformQuery(OscVector.maximally_entangled(4096), OscVector.separable())
+        assert 4096 * 1024 == search.MAX_QUERY_WIDTH
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="query too large: n\\*k = 4198400"):
+                general_catalyst_exists(wide, 1025)
+            assert general_catalyst_exists(wide, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_single_decisive_inequality_2x2(self):
         # k=2: feasible iff alpha1/2 <= beta1
@@ -289,15 +304,18 @@ class TestMonteCarlo:
     def test_chunked_draws_match_whole_block_draws(self):
         # n·k = 512 gives 128-row chunks, so each block is drawn in 32 pieces;
         # the seeds put the first hit in chunk 0, in chunk 1, later in block 0,
-        # and in block 1 (index 4911)
-        chunk = 128
-        assert search._chunk_rows(128, 4) == search._chunk_rows(64, 8) == chunk
-        budgets = (1, chunk, chunk + 1, TRIAL_BLOCK, TRIAL_BLOCK + 1)
-        for n, k, seed in ((128, 4, 7), (64, 8, 6), (64, 8, 2), (128, 4, 5)):
+        # and in block 1 (index 4911).  n·k = 4,096 gives 16-row chunks, and
+        # its hits are at rows 0, 18, 19 and 62
+        runs = {
+            128: ((128, 4, 7), (64, 8, 6), (64, 8, 2), (128, 4, 5)),
+            16: ((256, 16, 53), (512, 8, 5), (256, 16, 27), (256, 16, 6)),
+        }
+        for chunk, n, k, seed in ((c, *run) for c, group in runs.items() for run in group):
+            assert search._chunk_rows(n, k) == chunk
             query = TransformQuery(
                 make_osc(JP_SOURCE.coeffs + (0.0,) * (n - 4)), JP_TARGET_SHIFTED
             )
-            for m in budgets:
+            for m in (1, chunk, chunk + 1, TRIAL_BLOCK, TRIAL_BLOCK + 1):
                 outcome = monte_carlo_standard_catalyst(
                     query, SearchConfig(k=k, big_number=m, seed=seed)
                 )
@@ -308,6 +326,19 @@ class TestMonteCarlo:
                 else:
                     assert outcome.status is SearchStatus.SUCCESS
                     assert (outcome.trials_used, outcome.catalyst.coeffs) == (hit[0] + 1, hit[1])
+
+    def test_memory_is_one_chunk_at_the_widest_rows(self):
+        # n·k = MAX_PRODUCT_WIDTH: each chunk is one row of 65,536 products
+        query = TransformQuery(make_osc(NO_GO_2X2.psi.coeffs + (0.0,) * 62), NO_GO_2X2.phi)
+        tracemalloc.start()
+        try:
+            cfg = SearchConfig(k=1024, big_number=64, seed=1)
+            outcome = monte_carlo_standard_catalyst(query, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.status is SearchStatus.FAILURE
+        assert peak < 8 * 2**20
 
     def test_thread_pool_is_clamped(self, pool_sizes):
         seen = pool_sizes(search, cpus=3)
