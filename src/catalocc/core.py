@@ -2,10 +2,12 @@
 
 A bipartite pure state is represented throughout by its ordered Schmidt
 coefficients (the squared Schmidt amplitudes, a nonincreasing probability
-vector).  Nielsen's criterion then reduces every deterministic LOCC
-convertibility question to partial-sum comparisons, which is what this
-module provides: construction/validation, padding, majorization verdicts,
-tensor-product spectra, and entanglement entropy.
+vector), held as an :class:`OscVector`: a tuple of floats that
+:func:`make_osc`, the one validating constructor, checks and sorts.
+Nielsen's criterion then reduces every deterministic LOCC convertibility
+question to partial-sum comparisons, which is what this module provides:
+construction/validation, padding, majorization verdicts, tensor-product
+spectra, and entanglement entropy.
 
 Every such question runs through one batched kernel:
 :func:`product_spectra` sorts product spectra and :func:`first_violations`
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -81,31 +83,24 @@ class CatalystKind(Enum):
     TIME_REVERSE = "time_reverse"  # product spectra coincide; reversible
 
 
-@dataclass(frozen=True)
-class OscVector:
+class OscVector(tuple):
     """Ordered Schmidt-coefficient vector: nonincreasing, nonnegative, sums to 1.
 
-    Use :func:`make_osc` to build one from untrusted input; the raw
-    constructor trusts its argument.  Instances are immutable and safe to
-    share across threads.
+    A tuple of floats: it equals, hashes and prints as the plain tuple of
+    its coefficients, and ``+`` and ``*`` return plain tuples.
+    :func:`make_osc` is the one validating constructor; the raw constructor
+    trusts its argument and keeps it as given (ints stay ints, though
+    :meth:`as_array` is float64 either way).  Immutable and thread-safe.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, index: int) -> float:
-        return self.coeffs[index]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.coeffs)
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        return self
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.float64)
+        return np.asarray(self, dtype=np.float64)
 
     @classmethod
     def maximally_entangled(cls, n: int) -> "OscVector":
@@ -168,15 +163,18 @@ def make_osc(raw: Iterable[float], tol: Tolerance = DEFAULT_TOL) -> OscVector:
     user-supplied decimals survive round-trips; anything more negative
     raises :class:`NegativeEntry`.  The sum must be 1 within ``tol.eps_norm``
     or :class:`NotNormalized` is raised; NaN and infinite entries fail this
-    test.  Booleans and strings raise ``ValueError`` rather than being read
-    as numbers.  Trailing zeros are kept: length is part of the
+    test.  Non-numbers (booleans, strings, None, containers, complex) raise
+    ``ValueError``.  Trailing zeros are kept: length is part of the
     representation (see :func:`pad`).
     """
     items = list(raw)
     for kind in set(map(type, items)):
         if issubclass(kind, (str, bytes, bool, np.bool_)):
             raise ValueError(f"coefficients must be numbers, not {kind.__name__}")
-    values = [float(v) for v in items]
+    try:
+        values = [float(v) for v in items]
+    except TypeError as exc:  # None, containers, complex: not real numbers either
+        raise ValueError(f"coefficients must be numbers: {exc}") from None
     if not values:
         raise ValueError("coefficient sequence must be nonempty")
     for i, v in enumerate(values):
@@ -190,7 +188,7 @@ def make_osc(raw: Iterable[float], tol: Tolerance = DEFAULT_TOL) -> OscVector:
     if not abs(total - 1.0) <= tol.eps_norm:  # also true for a NaN sum
         raise NotNormalized(f"coefficients sum to {total!r}, not 1 within {tol.eps_norm}")
     clamped.sort(reverse=True)
-    return OscVector(tuple(clamped))
+    return OscVector(clamped)
 
 
 def pad(v: OscVector, target_len: int) -> OscVector:
@@ -199,18 +197,18 @@ def pad(v: OscVector, target_len: int) -> OscVector:
         raise TargetTooSmall(f"target length {target_len} < vector length {len(v)}")
     if target_len == len(v):
         return v
-    return OscVector(v.coeffs + (0.0,) * (target_len - len(v)))
+    return OscVector(v + (0.0,) * (target_len - len(v)))
 
 
 def partial_sums(v: OscVector) -> tuple[float, ...]:
     """Cumulative sums of the coefficients (the majorization coordinates)."""
-    return tuple(float(s) for s in np.cumsum(v.as_array()))
+    return tuple(np.cumsum(v.as_array()).tolist())
 
 
 def padded_array(v: OscVector, n: int) -> np.ndarray:
     """Coefficients as a float64 array zero-padded to length ``n``."""
     arr = np.zeros(n, dtype=np.float64)
-    arr[: len(v)] = v.coeffs
+    arr[: len(v)] = v
     return arr
 
 
@@ -273,8 +271,8 @@ def majorizes_check(a: OscVector, b: OscVector, tol: Tolerance = DEFAULT_TOL) ->
     deterministically to the one with spectrum ``b`` under LOCC.
     """
     pair = np.zeros((2, max(len(a), len(b))), dtype=np.float64)
-    pair[0, : len(a)] = a.coeffs
-    pair[1, : len(b)] = b.coeffs
+    pair[0, : len(a)] = a
+    pair[1, : len(b)] = b
     fwd, rev = first_violations(pair, pair[::-1], tol.eps_major).tolist()
     if not fwd:
         relation = Relation.EQUIVALENT if not rev else Relation.MAJORIZED_BY
@@ -285,7 +283,7 @@ def majorizes_check(a: OscVector, b: OscVector, tol: Tolerance = DEFAULT_TOL) ->
 
 def tensor_spectrum(a: OscVector, b: OscVector) -> OscVector:
     """Spectrum of the tensor product: all pairwise products, sorted nonincreasing."""
-    return OscVector(tuple(product_spectra(a.as_array(), b.as_array())[0].tolist()))
+    return OscVector(product_spectra(a.as_array(), b.as_array())[0].tolist())
 
 
 def entropy_bits(v: OscVector) -> float:

@@ -211,9 +211,9 @@ def generate_catalyzable_pairs(
             lhs, rhs = product_spectra(psi_rows, chi_rows), product_spectra(phi_rows, chi_rows)
             assisted = first_violations(lhs, rhs, eps) == 0
             for idx in np.flatnonzero(blocked & assisted)[: spec.count - len(out)]:
-                psi = OscVector(tuple(psi_rows[idx].tolist()))
-                phi = OscVector(tuple(phi_rows[idx].tolist()))
-                chi = OscVector(tuple(chi_rows[idx].tolist()))
+                psi = OscVector(psi_rows[idx].tolist())
+                phi = OscVector(phi_rows[idx].tolist())
+                chi = OscVector(chi_rows[idx].tolist())
                 if _scalar_leq(psi, phi, (1.0,), eps) or not _scalar_leq(psi, phi, chi, eps):
                     raise RuntimeError("internal: kernel verdict fails the scalar re-check")
                 out.append((TransformQuery(psi, phi), chi))

@@ -34,7 +34,6 @@ import numpy as np
 from .catalysis import TransformQuery, locc_feasible
 from .core import (
     DEFAULT_TOL,
-    MAX_PRODUCT_WIDTH,
     MAX_QUERY_WIDTH,
     OscVector,
     Tolerance,
@@ -197,7 +196,7 @@ def monte_carlo_standard_catalyst(
     big_m = cfg.big_number
     nblocks = math.ceil(big_m / TRIAL_BLOCK)
 
-    def scan_block(block: int) -> Optional[tuple[int, tuple[float, ...]]]:
+    def scan_block(block: int) -> Optional[tuple[int, list[float]]]:
         """Lowest feasible trial index in ``block`` and its candidate."""
         start = block * TRIAL_BLOCK
         rows = min(TRIAL_BLOCK, big_m - start)
@@ -208,7 +207,7 @@ def monte_carlo_standard_catalyst(
             first = first_violations(lhs, rhs, tol.eps_major)
             hits = np.flatnonzero(first == 0)
             if hits.size:
-                return start + off + int(hits[0]), tuple(part[hits[0]].tolist())
+                return start + off + int(hits[0]), part[hits[0]].tolist()
             if ends and min(ends)[0] < block:  # a lower block has ended: this one cannot decide
                 return None
         return None

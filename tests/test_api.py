@@ -90,3 +90,25 @@ def test_readme_memory_rule_states_the_two_bounds():
     bounds = re.findall(r"(\d[\d,]*) (?:product entries|cells)|n·k <= (\d[\d,]*)", rule)
     numbers = [int((a or b).replace(",", "")) for a, b in bounds]
     assert numbers == [MAX_PRODUCT_WIDTH] * 3 + [MAX_QUERY_WIDTH], rule
+
+
+def test_no_unused_imports_in_the_package():
+    """Every name a package module imports is used in it or listed in its ``__all__``."""
+    unused = []
+    for path in sorted((ROOT / "src" / "catalocc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: f"{path.name}:{alias.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{where} {name}" for name, where in imported.items() if name not in used]
+    assert not unused

@@ -1,7 +1,10 @@
 """Unit and property tests for the vector/majorization core."""
 
+import copy
 import math
+import pickle
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -100,6 +103,10 @@ class TestMakeOsc:
             [True],
             [np.bool_(True), 0.0],
             [0.5, "0.5"],
+            [None, 1.0],
+            [[0.5], 0.5],
+            [{"a": 1}],
+            [1 + 0j],
         ],
     )
     def test_rejects_non_finite_and_non_numeric(self, raw):
@@ -111,6 +118,64 @@ class TestMakeOsc:
         assert make_osc((0.5, 0.49995), loose).coeffs == (0.5, 0.49995)
         with pytest.raises(NotNormalized):
             make_osc((0.5, 0.49995))
+
+
+class TestOscVector:
+    """An OSC vector is a tuple of floats: it compares, hashes and prints as one."""
+
+    def test_every_built_vector_holds_python_floats(self):
+        a, b = make_osc((0.7, 0.3)), make_osc((0.5, 0.25, 0.25))
+        built = [
+            make_osc([1, 0]),
+            make_osc([np.float64(0.75), np.float64(0.25)]),
+            make_osc([np.float32(0.5), np.float32(0.5)]),
+            make_osc([Decimal("0.25")] * 4),
+            pad(a, 4),
+            tensor_spectrum(a, b),
+            OscVector.separable(3),
+            OscVector.maximally_entangled(3),
+        ]
+        for v in built:
+            assert isinstance(v, OscVector) and all(type(c) is float for c in v), v
+        assert make_osc([Decimal("0.25")] * 4) == (0.25,) * 4
+
+    def test_prints_as_the_plain_tuple(self):
+        for v in (make_osc((0.6, 0.4)), OscVector.separable(2), make_osc((1 / 3,) * 3)):
+            assert str(v) == str(tuple(v))
+            assert repr(v) == repr(tuple(v))
+            assert v.coeffs is v
+
+    def test_is_immutable_and_has_no_attribute_dict(self):
+        v = make_osc((0.6, 0.4))
+        with pytest.raises(TypeError):
+            v[0] = 0.5
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        with pytest.raises(AttributeError):
+            v.coeffs = (1.0,)
+        assert not hasattr(v, "__dict__")
+
+    def test_equal_coefficients_compare_and_hash_equal(self):
+        v, w = make_osc((0.25, 0.5, 0.25)), OscVector((0.5, 0.25, 0.25))
+        assert v == w == (0.5, 0.25, 0.25)
+        assert hash(v) == hash(w) == hash((0.5, 0.25, 0.25))
+        assert len({v, w}) == 1
+        assert v != make_osc((0.5, 0.5))
+
+    def test_tuple_operators_return_plain_tuples(self):
+        v = make_osc((0.6, 0.4))
+        assert type(v + (0.0,)) is tuple and v + (0.0,) == (0.6, 0.4, 0.0)
+        assert type(v * 2) is tuple and v * 2 == (0.6, 0.4, 0.6, 0.4)
+
+    def test_raw_constructor_trusts_its_argument(self):
+        v = OscVector((1, 0))
+        assert [type(c) for c in v] == [int, int]
+        assert v.as_array().dtype == np.float64
+
+    def test_pickle_and_deepcopy_keep_the_type(self):
+        v = make_osc((0.5, 0.3, 0.2))
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert type(back) is OscVector and back == v
 
 
 class TestPad:

@@ -10,11 +10,12 @@ import pytest
 from catalocc import (
     DomainError,
     GenerationExhausted,
+    OscVector,
     Relation,
     majorizes_check,
     tensor_spectrum,
 )
-from catalocc import experiments, search
+from catalocc import core, experiments, search
 from catalocc.catalysis import locc_feasible, mutual_region_scan
 from catalocc.experiments import (
     MUTUAL_CATALYST,
@@ -66,7 +67,7 @@ class TestPairGenSpec:
         with pytest.raises(DomainError, match="search too large"):
             generate_catalyzable_pairs(PairGenSpec(seed=1, n=512, k=129, count=1))
         # n·k = MAX_PRODUCT_WIDTH is allowed: it reaches its first draw
-        assert 512 * 128 == search.MAX_PRODUCT_WIDTH
+        assert 512 * 128 == core.MAX_PRODUCT_WIDTH
         with pytest.raises(Drawn):
             generate_catalyzable_pairs(PairGenSpec(seed=1, n=512, k=128, count=1))
 
@@ -218,6 +219,13 @@ class TestPairArchive:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("\n" + "".join(lines[:7]) + "  \n\n" + "".join(lines[7:]) + "\t\n")
         assert load_pairs_jsonl(path) == loaded
+
+    def test_generated_and_loaded_vectors_hold_python_floats(self, tmp_path):
+        pairs = generate_catalyzable_pairs(small_spec(seed=23, count=5))
+        loaded = load_pairs_jsonl(write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs, seed=23))
+        for query, witness in pairs + loaded:
+            for v in (query.psi, query.phi, witness):
+                assert type(v) is OscVector and all(type(c) is float for c in v)
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         pairs = generate_catalyzable_pairs(small_spec(seed=29, count=10))

@@ -22,7 +22,7 @@ from catalocc import (
     monte_carlo_standard_catalyst,
     tensor_spectrum,
 )
-from catalocc import search
+from catalocc import core, search
 from catalocc.experiments import JP_SOURCE, JP_TARGET, JP_TARGET_SHIFTED
 from catalocc.rng import CTX_TRIALS, substream
 from catalocc.search import TRIAL_BLOCK, _sorted_simplex_rows
@@ -212,6 +212,12 @@ class TestMonteCarlo:
         )
         assert verdict.relation in (Relation.MAJORIZED_BY, Relation.EQUIVALENT)
 
+    def test_success_catalyst_holds_python_floats(self):
+        outcome = monte_carlo_standard_catalyst(JP, SearchConfig(k=3, big_number=1000, seed=7))
+        assert outcome.status is SearchStatus.SUCCESS
+        assert type(outcome.catalyst) is OscVector
+        assert all(type(c) is float for c in outcome.catalyst)
+
     def test_two_level_no_go_always_fails(self):
         cfg = SearchConfig(k=4, big_number=10_000, seed=7)
         outcome = monte_carlo_standard_catalyst(NO_GO_2X2, cfg)
@@ -296,7 +302,7 @@ class TestMonteCarlo:
             monte_carlo_standard_catalyst(padded(65), SearchConfig(k=1024, big_number=10, seed=1))
         # n·k = MAX_PRODUCT_WIDTH is allowed, and so is any k within it:
         # both reach their first draw
-        assert 64 * 1024 == search.MAX_PRODUCT_WIDTH
+        assert 64 * 1024 == core.MAX_PRODUCT_WIDTH
         for query, k in ((padded(64), 1024), (JP, 2048)):
             with pytest.raises(Drawn):
                 monte_carlo_standard_catalyst(query, SearchConfig(k=k, big_number=10, seed=1))
