@@ -146,7 +146,8 @@ def _classification_json(cls: CatalystClass | None, tol: Tolerance) -> dict | No
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=Path("."),
               help="Directory for generated files.  [default: .]")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Threads per Monte Carlo search (budgets above 4096); never changes results.")
+              help="Threads per Monte Carlo search (budgets above 4096); curve scans on one "
+                   "thread.  Never changes results.")
 @click.pass_context
 def main(ctx: click.Context, tol_major: float, tol_norm: float, seed: int,
          out: Path, threads: int) -> None:

@@ -43,14 +43,7 @@ from .core import (
 )
 from .errors import CataloccError, DomainError, GenerationExhausted
 from .rng import CTX_CURVE, CTX_PAIRS, derive_seed, substream
-from .search import (
-    SearchConfig,
-    SearchStatus,
-    _scalar_leq,
-    _sorted_simplex_rows,
-    general_catalyst_exists,
-    monte_carlo_standard_catalyst,
-)
+from .search import _first_hits, _scalar_leq, _sorted_simplex_rows, general_catalyst_exists
 
 __all__ = [
     "JP_SOURCE",
@@ -179,7 +172,9 @@ def generate_catalyzable_pairs(
     (n-1)-simplex and chi on the (k-1)-simplex; a triple is accepted iff
     psi does not convert to phi directly but psi ⊗ chi ≺ phi ⊗ chi.  Each
     batch of candidates has its own substream, drawn by the search's simplex
-    generator and tested in chunks of at most MAX_PRODUCT_WIDTH products.
+    generator and tested in chunks of at most MAX_PRODUCT_WIDTH products;
+    only blocked rows that pass prefix 1 (psi1·chi1 <= phi1·chi1 + eps, the
+    kernel's own first comparison) reach the n·k product kernel.
     Every accepted pair is re-checked by a scalar prefix loop before it is
     returned with its witness chi; a disagreement is a bug (RuntimeError).
 
@@ -207,10 +202,14 @@ def generate_catalyzable_pairs(
         draws = _sorted_simplex_rows(rng, _GEN_BATCH, chunk, n, n, k)
         for _, (psi_rows, phi_rows, chi_rows) in draws:
             blocked = first_violations(psi_rows, phi_rows, eps) > 0
+            # only rows that pass prefix 1 reach the kernel; the test is its own
+            # prefix-1 comparison bit for bit, as a top product is fl(x1 * chi1)
+            top = chi_rows[:, 0]
+            rows = np.flatnonzero(blocked & (psi_rows[:, 0] * top <= phi_rows[:, 0] * top + eps))
+            chis = chi_rows[rows]
             # held until the next chunk's rows exist, so their pages are not refaulted
-            lhs, rhs = product_spectra(psi_rows, chi_rows), product_spectra(phi_rows, chi_rows)
-            assisted = first_violations(lhs, rhs, eps) == 0
-            for idx in np.flatnonzero(blocked & assisted)[: spec.count - len(out)]:
+            lhs, rhs = product_spectra(psi_rows[rows], chis), product_spectra(phi_rows[rows], chis)
+            for idx in rows[first_violations(lhs, rhs, eps) == 0][: spec.count - len(out)]:
                 psi = OscVector(psi_rows[idx].tolist())
                 phi = OscVector(phi_rows[idx].tolist())
                 chi = OscVector(chi_rows[idx].tolist())
@@ -241,24 +240,23 @@ def success_probability_curve(
 ) -> list[CurvePoint]:
     """Fraction of pairs the Monte Carlo search solves within each budget.
 
-    Each pair gets its own derived trial stream and is searched once with
-    the largest budget; smaller budgets reuse the prefix of the same stream,
-    so the curve is nondecreasing in M by construction.  Pairs are searched
-    one after another; ``workers`` is passed to each search, so it splits
-    the trial blocks of budgets above TRIAL_BLOCK and never changes the
-    points.
+    Pair i is searched once with the largest budget, on the trial stream of
+    seed ``derive_seed(seed, CTX_CURVE, i)``; smaller budgets reuse the
+    prefix of the same stream, so the curve is nondecreasing in M by
+    construction.  All pairs are scanned together on the calling thread:
+    in groups of at most one chunk's pairs, each stage draws
+    max(1, chunk // unresolved) trials for every unresolved pair of a group
+    and tests them in one kernel pass, and a pair leaves at its first hit.
+    Each pair's first hit is the one its own search would report, so the
+    points never depend on the stages.  ``workers`` is accepted and unused:
+    splitting the pairs over two threads measured slower than one.
     """
     queries = [p[0] if isinstance(p, tuple) else p for p in pairs]
     ms = [int(m) for m in m_values]
     if not queries or not ms or min(ms) < 1:
         raise ValueError("need at least one pair and positive trial budgets")
-    m_max = max(ms)
-
-    results = []
-    for i, query in enumerate(queries):
-        cfg = SearchConfig(k=k, big_number=m_max, seed=derive_seed(seed, CTX_CURVE, i), tol=tol)
-        outcome = monte_carlo_standard_catalyst(query, cfg, workers)
-        results.append(outcome.trials_used if outcome.status is SearchStatus.SUCCESS else None)
+    seeds = [derive_seed(seed, CTX_CURVE, i) for i in range(len(queries))]
+    results = _first_hits(queries, k, max(ms), seeds, tol)
 
     points = []
     for m in ms:

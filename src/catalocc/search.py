@@ -15,7 +15,9 @@ Determinism contract: a search outcome depends only on
 lives in block i // TRIAL_BLOCK, drawn from substream (seed, block), and
 a success always reports the lowest feasible index, so the result is
 identical for any worker count and any evaluation batch size, and success
-at budget M implies success at every larger budget.
+at budget M implies success at every larger budget.  The success curve's
+scan of many queries at once draws each query's candidates from that
+query's own substreams, so it reports the same first hits.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, zip_longest
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,8 +106,18 @@ def _sorted_simplex_rows(rng: np.random.Generator, rows: int, chunk: int, *width
     """
     cuts = list(accumulate((0,) + widths))
     for off in range(0, rows, chunk):
-        e = -np.log1p(-rng.random((min(chunk, rows - off), cuts[-1])))
-        yield off, [_simplex_points(e[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+        yield off, _simplex_parts(rng.random((min(chunk, rows - off), cuts[-1])), cuts)
+
+
+def _simplex_parts(u: np.ndarray, cuts: list[int]) -> list[np.ndarray]:
+    """Rows of uniforms ``u`` as sorted simplex points, one part per span
+    ``cuts[j]:cuts[j + 1]`` of columns; row i of a part depends only on row i.
+
+    The exponentials overwrite ``u``, so a chunk allocates no array beyond
+    its draw; holding ``u`` beside them made searches refault more pages.
+    """
+    e = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+    return [_simplex_points(e[:, a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _simplex_points(e: np.ndarray) -> np.ndarray:
@@ -251,3 +263,50 @@ def monte_carlo_standard_catalyst(
         raise RuntimeError("internal: kernel verdict fails the scalar re-check")
     return SearchOutcome(SearchStatus.SUCCESS, catalyst, found[0] + 1, cfg.seed)
 
+
+def _first_hits(
+    queries: Sequence[TransformQuery], k: int, big_m: int, seeds: Sequence[int], tol: Tolerance
+) -> list[Optional[int]]:
+    """``trials_used`` of the search of query i with seed ``seeds[i]`` and
+    budget ``big_m``, or None where it fails, from one scan of all queries.
+
+    Queries are zero-padded to the widest (no verdict moves) and taken in
+    groups of at most one chunk's queries.  Each stage draws
+    max(1, chunk // unresolved) rows of its block for every unresolved
+    query of a group and tests them in one kernel pass of at most one
+    chunk; a query leaves at its first hit, which the scalar loop re-checks
+    (a disagreement raises RuntimeError).  k < 1 raises ValueError, and
+    n·k > MAX_PRODUCT_WIDTH or an already feasible query DomainError, all
+    before any draw.
+    """
+    if k < 1:
+        raise ValueError("catalyst dimension k must be >= 1")
+    n = max(q.dim for q in queries)
+    chunk = _chunk_rows(n, k)
+    psi = np.stack([padded_array(q.psi, n) for q in queries])
+    phi = np.stack([padded_array(q.phi, n) for q in queries])
+    if not first_violations(psi, phi, tol.eps_major).all():  # locc_feasible of every query
+        raise DomainError("transformation needs no catalyst; it is already feasible")
+    found: list[Optional[int]] = [None] * len(queries)
+    for group in range(0, len(queries), chunk):
+        active = np.arange(group, min(group + chunk, len(queries)))
+        pos = 0  # the next trial index of every query still in the group
+        while active.size and pos < big_m:
+            if pos % TRIAL_BLOCK == 0:
+                rngs = [substream(seeds[i], CTX_TRIALS, pos // TRIAL_BLOCK) for i in active]
+            rows = min(max(1, chunk // active.size), TRIAL_BLOCK - pos % TRIAL_BLOCK, big_m - pos)
+            uniforms = np.concatenate([rng.random((rows, k)) for rng in rngs])
+            (part,) = _simplex_parts(uniforms, [0, k])
+            lhs = product_spectra(np.repeat(psi[active], rows, axis=0), part)
+            rhs = product_spectra(np.repeat(phi[active], rows, axis=0), part)
+            hits = (first_violations(lhs, rhs, tol.eps_major) == 0).reshape(active.size, rows)
+            done = hits.any(axis=1)
+            for j in np.flatnonzero(done):
+                q, row = queries[active[j]], int(hits[j].argmax())
+                if not _scalar_leq(q.psi, q.phi, part[j * rows + row].tolist(), tol.eps_major):
+                    raise RuntimeError("internal: kernel verdict fails the scalar re-check")
+                found[active[j]] = pos + row + 1
+            rngs = [rng for rng, d in zip(rngs, done) if not d]
+            active = active[~done]
+            pos += rows
+    return found

@@ -1,21 +1,25 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the library's batched spectrum kernel:
-spectra come from naive full sorts of the outer product, majorization from
-a plain Python prefix-sum loop, minimal residuals from bisection on the
-direct predicate, small feasibility questions from grid enumeration,
-including the grid oracle for standard catalysts of dimension 2 and 3, and
-the Monte Carlo search's first hit from whole-block candidate draws.
+Everything here but the unscreened pair generator deliberately avoids the
+library's batched spectrum kernel: spectra come from naive full sorts of
+the outer product, majorization from a plain Python prefix-sum loop,
+minimal residuals from bisection on the direct predicate, small
+feasibility questions from grid enumeration, including the grid oracle for
+standard catalysts of dimension 2 and 3, and the Monte Carlo search's first
+hit from whole-block candidate draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from catalocc import DomainError, OscVector, TransformQuery
-from catalocc.rng import CTX_TRIALS, substream
+from catalocc.core import _chunk_rows, first_violations, product_spectra
+from catalocc.experiments import _GEN_BATCH
+from catalocc.rng import CTX_PAIRS, CTX_TRIALS, substream
 from catalocc.search import TRIAL_BLOCK, _sorted_simplex_rows
 
 
@@ -58,6 +62,27 @@ def first_hit_whole_blocks(q: TransformQuery, k: int, big_m: int, seed: int):
             if assisted_feasible(q.psi, q.phi, chi, chi):
                 return start + i, tuple(chi)
     return None
+
+
+def unscreened_catalyzable_pairs(spec, eps: float = 1e-12) -> list:
+    """``generate_catalyzable_pairs`` as it was before its prefix-1 screen:
+    every row of every chunk goes through the n·k kernel, and the first
+    ``spec.count`` blocked, assisted rows are the pairs.  It keeps the
+    library's draw and kernel, so it pins only that the screen drops no
+    pair; it has no rejection budget."""
+    out = []
+    chunk = _chunk_rows(spec.n, spec.k)
+    for batch in itertools.count():
+        rng = substream(spec.seed, CTX_PAIRS, batch)
+        draws = _sorted_simplex_rows(rng, _GEN_BATCH, chunk, spec.n, spec.n, spec.k)
+        for _, (psi, phi, chi) in draws:
+            blocked = first_violations(psi, phi, eps) > 0
+            lhs, rhs = product_spectra(psi, chi), product_spectra(phi, chi)
+            for i in np.flatnonzero(blocked & (first_violations(lhs, rhs, eps) == 0)):
+                out.append((TransformQuery(OscVector(psi[i].tolist()), OscVector(phi[i].tolist())),
+                            OscVector(chi[i].tolist())))
+                if len(out) == spec.count:
+                    return out
 
 
 def two_level_points(step: float):

@@ -12,12 +12,16 @@ from catalocc import (
     GenerationExhausted,
     OscVector,
     Relation,
+    TransformQuery,
     majorizes_check,
+    make_osc,
     tensor_spectrum,
 )
 from catalocc import core, experiments, search
 from catalocc.catalysis import locc_feasible, mutual_region_scan
 from catalocc.experiments import (
+    JP_SOURCE,
+    JP_TARGET,
     MUTUAL_CATALYST,
     MUTUAL_SOURCE,
     MUTUAL_TARGET,
@@ -31,8 +35,9 @@ from catalocc.experiments import (
     write_pairs_jsonl,
     write_region_csv,
 )
+from catalocc.rng import CTX_CURVE, derive_seed
 from catalocc.search import TRIAL_BLOCK
-from oracles import naive_region_csv
+from oracles import first_hit_whole_blocks, naive_region_csv, unscreened_catalyzable_pairs
 
 
 def small_spec(seed=101, count=40):
@@ -106,6 +111,14 @@ class TestGeneratePairs:
         pairs = generate_catalyzable_pairs(PairGenSpec(seed=seed, n=n, k=k, count=count))
         path = write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs, seed=seed)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("n, k, count", [(6, 3, 200), (8, 4, 200), (16, 8, 50), (32, 16, 20)])
+    def test_prefix_1_screen_drops_no_pair(self, n, k, count):
+        # only blocked rows that pass prefix 1 reach the kernel, whose own
+        # prefix-1 comparison would reject every other one
+        for seed in range(1, 6):
+            spec = PairGenSpec(seed=seed, n=n, k=k, count=count)
+            assert generate_catalyzable_pairs(spec) == unscreened_catalyzable_pairs(spec)
 
     def test_memory_is_one_chunk_not_one_batch(self):
         # 8,192 rows of 512-wide products took 147 MB when a batch was drawn whole
@@ -186,13 +199,85 @@ class TestSuccessCurve:
             success_probability_curve([], 3, (1,), seed=1)
 
     def test_thread_pool_is_clamped(self, pool_sizes):
-        # the curve has no pool of its own: each search splits its blocks
+        # the curve scans every pair on the calling thread, whatever workers asks
         pairs = generate_catalyzable_pairs(small_spec(seed=37, count=3))
         seen = pool_sizes(search, cpus=64)
         success_probability_curve(pairs, 3, (10, TRIAL_BLOCK), seed=37, workers=1000)
-        assert seen == []  # one block per search runs sequentially
         success_probability_curve(pairs, 3, (TRIAL_BLOCK + 1,), seed=37, workers=1000)
-        assert seen == [2, 2, 2]  # min(workers, CPUs, blocks) for each pair
+        assert seen == []
+
+    def test_matches_per_search_ground_truth(self):
+        # the 4,096-dim JP pair makes n·k = 16,384, so a group holds 4 pairs
+        # and a stage draws 1, 2 or 4 rows a pair; the two-level and the
+        # 5-dim pair are blocked and fail within every budget
+        k = 4
+        queries = [q for q, _ in generate_catalyzable_pairs(PairGenSpec(seed=3, count=24))]
+        queries += [
+            TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * 4092), JP_TARGET),
+            TransformQuery(make_osc((0.8, 0.2)), make_osc((0.75, 0.25))),
+            TransformQuery(make_osc((0.4, 0.3, 0.2, 0.1, 0.0)), make_osc((0.45, 0.2, 0.2, 0.15))),
+        ]
+        queries = [queries[i] for i in np.random.default_rng(3).permutation(len(queries))]
+        assert core._chunk_rows(max(q.dim for q in queries), k) == 4
+        budgets = (1, 4, 5, 100)
+        seeds = [derive_seed(3, CTX_CURVE, i) for i in range(len(queries))]
+        first = [first_hit_whole_blocks(q, k, budgets[-1], s) for q, s in zip(queries, seeds)]
+        assert sum(h is None for h in first) == 2
+        points = success_probability_curve(queries, k, budgets, seed=3)
+        for m, point in zip(budgets, points):
+            hits = sum(h is not None and h[0] < m for h in first)
+            assert point.success_fraction == hits / len(queries)
+
+    def test_queries_are_refused_before_any_draw(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def substream(*args):
+            raise Drawn
+
+        monkeypatch.setattr(search, "substream", substream)
+        queries = [q for q, _ in generate_catalyzable_pairs(small_spec(seed=41, count=3))]
+        feasible = TransformQuery(make_osc((0.75, 0.25)), make_osc((0.8, 0.2)))
+        wide = TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * 16380), JP_TARGET)
+        with pytest.raises(DomainError, match="already feasible"):
+            success_probability_curve(queries + [feasible], 3, (10,), seed=41)
+        with pytest.raises(DomainError, match="search too large"):
+            success_probability_curve(queries + [feasible, wide], 5, (10,), seed=41)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            success_probability_curve(queries, 0, (10,), seed=41)
+        with pytest.raises(Drawn):  # n·k = MAX_PRODUCT_WIDTH is allowed: it reaches a draw
+            success_probability_curve(queries + [wide], 4, (10,), seed=41)
+
+    def test_scalar_recheck_catches_a_bad_kernel_verdict(self, monkeypatch):
+        # a kernel that accepts every assisted row (width n*k = 6) must not
+        # count a pair that has no catalyst
+        real = search.first_violations
+
+        def accepting(lhs, rhs, eps):
+            first = real(lhs, rhs, eps)
+            return np.zeros_like(first) if lhs.shape[-1] == 6 else first
+
+        monkeypatch.setattr(search, "first_violations", accepting)
+        no_go = TransformQuery(make_osc((0.8, 0.2)), make_osc((0.75, 0.25)))
+        with pytest.raises(RuntimeError, match="internal: kernel verdict"):
+            success_probability_curve([no_go], 3, (10,), seed=1)
+
+    def test_pairs_share_kernel_passes_and_stop_at_their_first_hit(self, monkeypatch):
+        # per pair, the searches drew 100 rows at budget 100; the scan forms
+        # each row only until its pair hits, at most one chunk a pass
+        rows = []
+        real = search.product_spectra
+
+        def recorded(a, b):
+            rows.append(len(b))
+            return real(a, b)
+
+        pairs = generate_catalyzable_pairs(PairGenSpec(seed=5, n=8, k=4, count=2000))
+        monkeypatch.setattr(search, "product_spectra", recorded)
+        points = success_probability_curve(pairs, 4, range(1, 101), seed=5)
+        assert points[-1].success_fraction >= 0.99
+        assert max(rows) <= core._chunk_rows(8, 4)
+        assert sum(rows) / 2 < 10 * len(pairs)  # each row has two sides
 
 
 class TestReferenceSuite:

@@ -540,6 +540,54 @@ class TestMonteCarlo:
             monte_carlo_standard_catalyst(NO_GO_2X2, SearchConfig(k=2, big_number=10, seed=1))
 
 
+class TestFirstHits:
+    """The batched scan behind the success curve: many queries, one kernel
+    pass a stage, each query's own candidate sequence."""
+
+    def padded_shifted(self, n):  # JP_SHIFTED with psi zero-padded to length n
+        return TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * (n - 4)), JP_TARGET_SHIFTED)
+
+    def test_matches_whole_block_draws(self):
+        # mixed widths padded to 128 (n·k = 512: 128-row chunks).  At k = 4
+        # the shifted JP pair's search uses 116, 1,240, 1,920, 4,444 (block
+        # 1), 4,912 and 7,814 trials for these seeds and fails within 8,199
+        # for seeds 9 and 10; the 8-dim JP pair's uses 1 to 23, and the
+        # two-level pair, blocked at prefix 1, always fails
+        k = 4
+        shifted = {4: (0, 2, 5, 9, 10, 7), 16: (4, 11), 128: (7,)}
+        queries = [self.padded_shifted(n) for n, seeds in shifted.items() for _ in seeds]
+        seeds = [seed for group in shifted.values() for seed in group]
+        jp8 = TransformQuery(make_osc(JP_SOURCE.coeffs + (0.0,) * 4), JP_TARGET)
+        queries += [jp8] * 5 + [NO_GO_2X2]
+        seeds += [0, 1, 2, 3, 7, 3]
+        chunk = search._chunk_rows(128, k)
+        budgets = (1, chunk, chunk + 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 2 * TRIAL_BLOCK + 7)
+        first = [first_hit_whole_blocks(q, k, budgets[-1], s) for q, s in zip(queries, seeds)]
+        assert sum(h is None for h in first) == 3
+        assert any(h is not None and h[0] >= TRIAL_BLOCK for h in first)
+        for m in budgets:
+            expected = [h[0] + 1 if h is not None and h[0] < m else None for h in first]
+            assert search._first_hits(queries, k, m, seeds, core.DEFAULT_TOL) == expected
+
+    def test_a_lone_query_sees_the_search_chunks(self, monkeypatch):
+        rows = []
+        real = search.product_spectra
+
+        def recorded(a, b):
+            rows.append(len(b))
+            return real(a, b)
+
+        monkeypatch.setattr(search, "product_spectra", recorded)
+        query, m = self.padded_shifted(128), TRIAL_BLOCK + 300
+        assert search._first_hits([query], 4, m, [9], core.DEFAULT_TOL) == [None]
+        scan = rows[:]
+        rows.clear()
+        outcome = monte_carlo_standard_catalyst(query, SearchConfig(k=4, big_number=m, seed=9))
+        assert outcome.status is SearchStatus.FAILURE
+        chunks = [128] * (TRIAL_BLOCK // 128) + [128, 128, 44]
+        assert scan == rows == [r for r in chunks for _ in "lr"]  # two sides a chunk
+
+
 class TestExhaustiveOracle:
     def test_jp_pair_finds_catalyst(self):
         chi = exhaustive_catalyst_oracle(JP, 2, 1e-3)
